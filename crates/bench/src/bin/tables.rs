@@ -6,6 +6,7 @@
 //! cargo run --release -p sqo-bench --bin tables [--quick]
 //! cargo run --release -p sqo-bench --bin tables -- --serve           # serve/* rows only
 //! cargo run --release -p sqo-bench --bin tables -- --store-recovery  # store/* row only
+//! cargo run --release -p sqo-bench --bin tables -- --write-read      # objdb/write_read_cycle/* rows only
 //! ```
 //!
 //! Besides the human-readable tables, the run writes
@@ -78,6 +79,22 @@ fn main() {
         bench.insert("store/recover_1m_objects".to_string(), ns);
         write_manifest(path, &bench);
         println!("(updated store/recover_1m_objects in {path})");
+        return;
+    }
+
+    // Standalone write-then-read mode: re-measure just the
+    // `objdb/write_read_cycle/*` rows and merge them into the manifest.
+    if std::env::args().any(|a| a == "--write-read") {
+        let rows = bench_write_read_cycle(quick);
+        if quick {
+            println!("(quick mode — write_read_cycle rows not persisted)");
+            return;
+        }
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pipeline.json");
+        let mut bench = read_manifest(path);
+        bench.extend(rows);
+        write_manifest(path, &bench);
+        println!("(updated objdb/write_read_cycle rows in {path})");
         return;
     }
 
@@ -438,6 +455,83 @@ fn bench_store_recovery(quick: bool) -> (usize, f64) {
     (n as usize, ns)
 }
 
+/// Write-then-read on the university generator: one `create` of a
+/// Student, one `link` of it to a section, then an executed read of the
+/// students enrolled in that section's course (a key probe on the
+/// course number, then relationship walks), which must see both writes.
+/// Rows `objdb/write_read_cycle/{1.5k,15k}` (median ns per cycle) at two
+/// store sizes — the default generator (~1.5k objects) and every
+/// population scaled by ten (~15k objects); a course's enrolment is the
+/// same at both sizes, so the read itself does not grow with the store.
+/// The frozen `_baseline` rows were measured once on the build that
+/// rebuilt the whole EDB on the first read after a write; the manifest
+/// gate checks near-flat growth and the speedup over that baseline.
+fn bench_write_read_cycle(quick: bool) -> Vec<(String, f64)> {
+    let reps = if quick { 7 } else { 51 };
+    let mut rows = Vec::new();
+    for (label, scale) in [("1.5k", 1usize), ("15k", 10)] {
+        let base = sqo_objdb::UniversityConfig::default();
+        let data = sqo_objdb::UniversityConfig {
+            persons: base.persons * scale,
+            students: base.students * scale,
+            faculty: base.faculty * scale,
+            courses: base.courses * scale,
+            ..base
+        }
+        .build()
+        .expect("university store");
+        let mut db = data.db;
+        let objects = db.object_count();
+        // Each section with the number of its course.
+        let sections: Vec<(sqo_objdb::Oid, String)> = db
+            .extent("Section")
+            .iter()
+            .map(|&sec| {
+                let course = db.linked(sec, "is_section_of").expect("section")[0];
+                let Some(sqo_objdb::Value::Str(number)) = db.attr(course, "number") else {
+                    panic!("course {course} has no number");
+                };
+                (sec, number.clone())
+            })
+            .collect();
+        let opt = SemanticOptimizer::university();
+        let mut cycle = 0usize;
+        let ns = median_ns(reps, || {
+            cycle += 1;
+            let name = format!("wr_{cycle}");
+            let (section, course) = &sections[cycle % sections.len()];
+            let s = db
+                .create(
+                    "Student",
+                    vec![
+                        ("name", name.as_str().into()),
+                        ("age", sqo_objdb::Value::Int(20)),
+                    ],
+                )
+                .expect("create");
+            db.link(s, "takes", *section).expect("link");
+            let oql = format!(
+                "select x.name from c in Course, y in c.has_sections, x in y.taken_by \
+                 where c.number = \"{course}\""
+            );
+            let parsed = sqo_oql::parse_oql(&oql).expect("read parses");
+            let read = opt.translate(&parsed).expect("read translates").query;
+            let (rows, _) = execute(&db, &read).expect("read executes");
+            let seen = sqo_datalog::Const::Str(name.as_str().into());
+            assert!(
+                rows.iter().any(|r| r[0] == seen),
+                "the read must see the create and the link"
+            );
+        });
+        println!(
+            "write_read_cycle/{label}: {objects} objects, {:.1} us/cycle",
+            ns / 1e3
+        );
+        rows.push((format!("objdb/write_read_cycle/{label}"), ns));
+    }
+    rows
+}
+
 /// Measure the e1/f2 pipeline benchmarks in the current engine
 /// configuration and in the pre-optimization baseline (string
 /// canonical-key dedup + sequential frontier, both kept as ablation
@@ -787,6 +881,9 @@ fn bench_pipeline(quick: bool) {
     // Durable-store cold recovery (snapshot + WAL-tail replay).
     let (_, recover_ns) = bench_store_recovery(quick);
     bench.insert("store/recover_1m_objects".to_string(), recover_ns);
+
+    // Write-then-read cycle at two store sizes.
+    bench.extend(bench_write_read_cycle(quick));
 
     // Merge with any entries already recorded in the file (notably the
     // `*_seed` medians measured once against the pre-PR seed build,

@@ -70,6 +70,101 @@ struct OrderedIndex {
     postings: BTreeMap<OrdKey, Vec<usize>>,
 }
 
+/// Postings maintenance shared by both index kinds. Every postings list
+/// stays sorted ascending (insertion order), and a key whose list empties
+/// is dropped, so an index maintained through removals and replacements
+/// is identical to one built fresh from the surviving tuples — the cost
+/// model reads [`Relation::index_distinct`] and the min/max keys.
+trait Postings {
+    type Key: Eq;
+    fn key(c: &Const) -> Self::Key;
+    fn add(&mut self, key: Self::Key, pos: usize);
+    fn drop_pos(&mut self, key: &Self::Key, pos: usize);
+    fn lists_mut(&mut self) -> Box<dyn Iterator<Item = &mut Vec<usize>> + '_>;
+
+    /// Move `pos` from `old`'s list to `new`'s (no-op when the keys are
+    /// equal).
+    fn reassign(&mut self, old: &Const, new: &Const, pos: usize) {
+        let (old, new) = (Self::key(old), Self::key(new));
+        if old != new {
+            self.drop_pos(&old, pos);
+            self.add(new, pos);
+        }
+    }
+
+    /// Forget the tuple at `pos` (keyed `key`) and shift every later
+    /// position down by one, mirroring `Vec::remove` on the tuples.
+    fn remove_shift(&mut self, key: &Const, pos: usize) {
+        self.drop_pos(&Self::key(key), pos);
+        for list in self.lists_mut() {
+            let from = list.partition_point(|&p| p < pos);
+            for p in &mut list[from..] {
+                *p -= 1;
+            }
+        }
+    }
+}
+
+/// Insert `pos` into a sorted postings list.
+fn insert_sorted(list: &mut Vec<usize>, pos: usize) {
+    if let Err(at) = list.binary_search(&pos) {
+        list.insert(at, pos);
+    }
+}
+
+/// Remove `pos` from a sorted postings list; `true` when the list is
+/// left empty.
+fn remove_sorted(list: &mut Vec<usize>, pos: usize) -> bool {
+    if let Ok(at) = list.binary_search(&pos) {
+        list.remove(at);
+    }
+    list.is_empty()
+}
+
+impl Postings for HashIndex {
+    type Key = Const;
+    fn key(c: &Const) -> Const {
+        *c
+    }
+    fn add(&mut self, key: Const, pos: usize) {
+        insert_sorted(self.postings.entry(key).or_default(), pos);
+    }
+    fn drop_pos(&mut self, key: &Const, pos: usize) {
+        if self
+            .postings
+            .get_mut(key)
+            .is_some_and(|l| remove_sorted(l, pos))
+        {
+            self.postings.remove(key);
+        }
+    }
+    fn lists_mut(&mut self) -> Box<dyn Iterator<Item = &mut Vec<usize>> + '_> {
+        Box::new(self.postings.values_mut())
+    }
+}
+
+impl Postings for OrderedIndex {
+    type Key = OrdKey;
+    fn key(c: &Const) -> OrdKey {
+        OrdKey(*c)
+    }
+    fn add(&mut self, key: OrdKey, pos: usize) {
+        insert_sorted(self.postings.entry(key).or_default(), pos);
+    }
+    fn drop_pos(&mut self, key: &OrdKey, pos: usize) {
+        if self
+            .postings
+            .get_mut(key)
+            .is_some_and(|l| remove_sorted(l, pos))
+        {
+            self.postings.remove(key);
+        }
+    }
+    fn lists_mut(&mut self) -> Box<dyn Iterator<Item = &mut Vec<usize>> + '_> {
+        Box::new(self.postings.values_mut())
+    }
+}
+
 impl OrderedIndex {
     /// Whether every key in the index has the same type rank as `probe`
     /// (and that rank supports ordering) — the precondition for a range
@@ -103,11 +198,15 @@ fn to_bound(b: Option<&RangeBound>) -> Bound<OrdKey> {
 }
 
 /// A stored relation: a deduplicated bag of constant tuples, plus any
-/// declared secondary indexes (maintained incrementally by [`Relation::insert`]).
+/// declared secondary indexes (maintained incrementally by
+/// [`Relation::insert`], [`Relation::remove`] and [`Relation::replace`]).
 #[derive(Debug, Clone, Default)]
 pub struct Relation {
     arity: Option<usize>,
     tuples: Vec<Vec<Const>>,
+    /// Membership set, kept only while column 0 has no hash index; once
+    /// it has one, that index answers membership and no second copy of
+    /// every tuple is held.
     set: HashSet<Vec<Const>>,
     hash_indexes: BTreeMap<usize, HashIndex>,
     ordered_indexes: BTreeMap<usize, OrderedIndex>,
@@ -141,22 +240,111 @@ impl Relation {
             None => self.arity = Some(tuple.len()),
             _ => {}
         }
-        if self.set.insert(tuple.clone()) {
-            let pos = self.tuples.len();
-            for (&col, idx) in &mut self.hash_indexes {
-                if let Some(c) = tuple.get(col) {
-                    idx.postings.entry(*c).or_default().push(pos);
-                }
-            }
-            for (&col, idx) in &mut self.ordered_indexes {
-                if let Some(c) = tuple.get(col) {
-                    idx.postings.entry(OrdKey(*c)).or_default().push(pos);
-                }
-            }
-            self.tuples.push(tuple);
-            Ok(true)
+        let new = if self.hash_indexes.contains_key(&0) {
+            !self.contains(&tuple)
         } else {
-            Ok(false)
+            self.set.insert(tuple.clone())
+        };
+        if !new {
+            return Ok(false);
+        }
+        let pos = self.tuples.len();
+        for (&col, idx) in &mut self.hash_indexes {
+            if let Some(c) = tuple.get(col) {
+                idx.postings.entry(*c).or_default().push(pos);
+            }
+        }
+        for (&col, idx) in &mut self.ordered_indexes {
+            if let Some(c) = tuple.get(col) {
+                idx.postings.entry(OrdKey(*c)).or_default().push(pos);
+            }
+        }
+        self.tuples.push(tuple);
+        Ok(true)
+    }
+
+    /// Remove a tuple; returns `true` if it was present. Surviving tuples
+    /// keep their insertion order, and every index is left exactly as a
+    /// fresh build over the survivors would make it. Costs time linear in
+    /// the relation (positions after the removed tuple shift down).
+    pub fn remove(&mut self, tuple: &[Const]) -> bool {
+        if !self.contains(tuple) {
+            return false;
+        }
+        self.set.remove(tuple);
+        // Locate through any hash index; fall back to a scan.
+        let pos = self
+            .hash_indexes
+            .iter()
+            .find_map(|(&col, idx)| {
+                idx.postings
+                    .get(tuple.get(col)?)?
+                    .iter()
+                    .copied()
+                    .find(|&p| self.tuples[p] == tuple)
+            })
+            .or_else(|| self.tuples.iter().position(|t| t == tuple))
+            .expect("set and tuples agree");
+        let removed = self.tuples.remove(pos);
+        for (&col, idx) in &mut self.hash_indexes {
+            if let Some(c) = removed.get(col) {
+                idx.remove_shift(c, pos);
+            }
+        }
+        for (&col, idx) in &mut self.ordered_indexes {
+            if let Some(c) = removed.get(col) {
+                idx.remove_shift(c, pos);
+            }
+        }
+        true
+    }
+
+    /// Replace the tuple at position `pos` in place, keeping its position
+    /// and every index exact. Returns `false` — and removes the tuple at
+    /// `pos` instead — when `tuple` is already stored at another
+    /// position, so the relation stays deduplicated.
+    pub fn replace(&mut self, pos: usize, tuple: Vec<Const>) -> Result<bool> {
+        if let Some(a) = self.arity.filter(|&a| a != tuple.len()) {
+            return Err(DatalogError::ArityMismatch {
+                predicate: "<relation>".into(),
+                expected: a,
+                found: tuple.len(),
+            });
+        }
+        if self.tuples[pos] == tuple {
+            return Ok(true);
+        }
+        if self.contains(&tuple) {
+            let old = self.tuples[pos].clone();
+            self.remove(&old);
+            return Ok(false);
+        }
+        let old = std::mem::replace(&mut self.tuples[pos], tuple.clone());
+        for (&col, idx) in &mut self.hash_indexes {
+            if let (Some(o), Some(n)) = (old.get(col), tuple.get(col)) {
+                idx.reassign(o, n, pos);
+            }
+        }
+        for (&col, idx) in &mut self.ordered_indexes {
+            if let (Some(o), Some(n)) = (old.get(col), tuple.get(col)) {
+                idx.reassign(o, n, pos);
+            }
+        }
+        if self.set.remove(&old) {
+            self.set.insert(tuple);
+        }
+        Ok(true)
+    }
+
+    /// Drop every tuple, keeping the arity and the declared indexes.
+    pub fn clear(&mut self) {
+        self.tuples.clear();
+        self.set.clear();
+        for idx in self.hash_indexes.values_mut() {
+            idx.postings.clear();
+        }
+        for idx in self.ordered_indexes.values_mut() {
+            idx.postings.clear();
         }
     }
 
@@ -173,6 +361,9 @@ impl Relation {
             }
         }
         self.hash_indexes.insert(col, idx);
+        if col == 0 {
+            self.set = HashSet::new();
+        }
     }
 
     /// Declare an ordered (range) secondary index on column `col`.
@@ -299,7 +490,16 @@ impl Relation {
 
     /// Whether the tuple is present.
     pub fn contains(&self, tuple: &[Const]) -> bool {
-        self.set.contains(tuple)
+        let Some(idx) = self.hash_indexes.get(&0) else {
+            return self.set.contains(tuple);
+        };
+        match tuple.first() {
+            Some(key) => idx
+                .postings
+                .get(key)
+                .is_some_and(|ps| ps.iter().any(|&p| self.tuples[p] == tuple)),
+            None => self.tuples.iter().any(|t| t.is_empty()),
+        }
     }
 
     /// All tuples, in insertion order.
@@ -359,6 +559,42 @@ impl EdbDatabase {
             },
             other => other,
         })
+    }
+
+    /// Remove a tuple from the named relation; returns `true` if it was
+    /// present (see [`Relation::remove`]).
+    pub fn remove(&mut self, pred: PredSym, tuple: &[Const]) -> bool {
+        self.relations
+            .get_mut(&pred)
+            .is_some_and(|rel| rel.remove(tuple))
+    }
+
+    /// Replace the tuple at `pos` of the named relation in place (see
+    /// [`Relation::replace`]).
+    pub fn replace(&mut self, pred: PredSym, pos: usize, tuple: Vec<Const>) -> Result<bool> {
+        let rel = self
+            .relations
+            .get_mut(&pred)
+            .ok_or_else(|| DatalogError::UnknownPredicate {
+                predicate: pred.name().to_string(),
+            })?;
+        rel.replace(pos, tuple).map_err(|e| match e {
+            DatalogError::ArityMismatch {
+                expected, found, ..
+            } => DatalogError::ArityMismatch {
+                predicate: pred.name().to_string(),
+                expected,
+                found,
+            },
+            other => other,
+        })
+    }
+
+    /// Empty the named relation, keeping its arity and declared indexes.
+    pub fn clear(&mut self, pred: PredSym) {
+        if let Some(rel) = self.relations.get_mut(&pred) {
+            rel.clear();
+        }
     }
 
     /// Declare an (empty) relation with a fixed arity.

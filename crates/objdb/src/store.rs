@@ -11,14 +11,16 @@
 //!
 //! [`ObjectDb::edb`] exposes the whole store in the Datalog
 //! representation of Step 1, so translated queries run directly against
-//! it; a generation-tagged, `Arc`-shared cache keeps repeated query
-//! evaluation cheap while letting callers pin a consistent snapshot
-//! with [`ObjectDb::edb_pinned`] — writers that arrive later bump the
-//! generation and rebuild lazily without disturbing pinned readers.
+//! it. That EDB is the maintained in-memory head: declared once, at
+//! construction or recovery, then updated by each mutator's own delta, so
+//! a write costs time in proportion to the write. Relationship
+//! bookkeeping is answered from its hash indexes. A pin from
+//! [`ObjectDb::edb_pinned`] stays unchanged: the first write after it
+//! copies the EDB (`Arc::make_mut`).
 //!
 //! When a durable [`ShardedStore`] is attached (via [`ObjectDb::open`]
 //! or [`ObjectDb::from_store`]), every mutation is mirrored into the
-//! store before the in-memory maps change, so the WAL always leads the
+//! store before the in-memory state changes, so the WAL always leads the
 //! materialized state and recovery replays to exactly the acknowledged
 //! prefix. Compound mutations commit as a single atomic
 //! [`StoreOp::Batch`] (one WAL frame): a `link` batches the relation
@@ -32,9 +34,9 @@ use sqo_datalog::program::EdbDatabase;
 use sqo_datalog::{Atom, Const, Literal, PredSym, Rule, Term};
 use sqo_odl::{BaseType, Member, Schema, Type};
 use sqo_store::{PersistReport, ShardedStore, StoreOp, StoreView};
-use sqo_translate::{translate_schema, ArgType, Catalog, RelKind};
+use sqo_translate::{translate_schema, ArgType, Catalog, RelKind, RelationDecl};
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -68,6 +70,9 @@ pub struct AsrDef {
     pub rule: Rule,
 }
 
+/// One relationship pair: (relation predicate, from OID, to OID).
+type Pair = (PredSym, Const, Const);
+
 /// The in-memory object database.
 pub struct ObjectDb {
     schema: Schema,
@@ -76,30 +81,21 @@ pub struct ObjectDb {
     /// Extents per class/structure name — a class's extent includes its
     /// subclasses' instances.
     extents: HashMap<String, Vec<Oid>>,
-    /// Relationship pairs per relation predicate name.
-    links: HashMap<String, Vec<(Oid, Oid)>>,
-    link_sets: HashMap<String, HashSet<(Oid, Oid)>>,
     methods: HashMap<String, MethodFn>,
     asrs: Vec<AsrDef>,
+    /// Per class/structure name, the relations its objects live in.
+    owners: HashMap<String, Vec<Owner>>,
     next_oid: u64,
-    /// Local cache epoch: bumped on every mutation. When a store is
-    /// attached this moves in lockstep with store writes but remains a
-    /// purely local counter (method registration also bumps it).
+    /// Local epoch, bumped by every mutation (method registration too).
     generation: u64,
     /// Attached durable store; `None` for a purely in-memory database.
     store: Option<Arc<ShardedStore>>,
-    /// Cached Datalog representation, tagged with the generation it was
-    /// built at. Stale entries are replaced lazily; pinned `Arc` clones
-    /// handed out earlier stay valid and unchanged.
-    edb_cache: RefCell<Option<EdbCacheEntry>>,
-}
-
-/// One generation's cached EDB plus the method/argument combinations
-/// already materialized into it.
-struct EdbCacheEntry {
-    generation: u64,
-    edb: Arc<EdbDatabase>,
-    methods: HashSet<(String, Vec<Const>)>,
+    /// The maintained Datalog representation; deltas go through
+    /// `Arc::make_mut`, which copies only while a pin is held.
+    edb: RefCell<Arc<EdbDatabase>>,
+    /// (method predicate, arguments) combinations materialized into the
+    /// EDB since the last mutation.
+    method_facts: RefCell<HashSet<(String, Vec<Const>)>>,
 }
 
 impl std::fmt::Debug for ObjectDb {
@@ -112,23 +108,202 @@ impl std::fmt::Debug for ObjectDb {
     }
 }
 
+/// Declare every catalog relation of an empty EDB with its indexes: the
+/// one full EDB construction (counted by `objdb.edb_builds`).
+fn declare_edb(schema: &Schema, catalog: &Catalog) -> EdbDatabase {
+    sqo_obs::bump(sqo_obs::Counter::EdbBuilds);
+    let mut db = EdbDatabase::new();
+    for decl in &catalog.relations {
+        match &decl.kind {
+            RelKind::Class { class } | RelKind::Struct { strct: class } => {
+                let pred = decl.pred;
+                let extent = extent_pred(pred);
+                db.declare(pred, decl.arity());
+                db.declare(extent, 1);
+                // Physical design: the OID column and every declared
+                // (single-attribute) key get a hash index; numeric
+                // attributes get an ordered index for range probes.
+                // String attributes stay unindexed unless they are
+                // keys — equality on a non-key string is a scan.
+                db.declare_hash_index(pred, 0);
+                db.declare_hash_index(extent, 0);
+                if let Some(cls) = schema.class(class) {
+                    for key in &cls.keys {
+                        if let [attr] = key.as_slice() {
+                            if let Some(pos) = decl.arg_position(attr) {
+                                db.declare_hash_index(pred, pos);
+                            }
+                        }
+                    }
+                }
+                for (pos, arg) in decl.args.iter().enumerate().skip(1) {
+                    if matches!(
+                        arg.ty,
+                        ArgType::Base(BaseType::Int) | ArgType::Base(BaseType::Real)
+                    ) {
+                        db.declare_ordered_index(pred, pos);
+                    }
+                }
+            }
+            RelKind::Relationship { .. } | RelKind::View { .. } => {
+                declare_binary(&mut db, decl.pred)
+            }
+            RelKind::Method { .. } => {
+                db.declare(decl.pred, decl.arity());
+                db.declare_hash_index(decl.pred, 0);
+            }
+        }
+    }
+    db
+}
+
+/// Declare a binary OID relation (relationship or ASR) with hash indexes
+/// on both endpoints.
+fn declare_binary(db: &mut EdbDatabase, pred: PredSym) {
+    db.declare(pred, 2);
+    db.declare_hash_index(pred, 0);
+    db.declare_hash_index(pred, 1);
+}
+
+/// The unary extent-membership relation of a class/structure relation.
+fn extent_pred(pred: PredSym) -> PredSym {
+    PredSym::new(format!("{}__extent", pred.name()))
+}
+
+/// A relation an object lives in: (class or structure name, catalog
+/// index of its relation, its `__extent` relation).
+type Owner = (String, usize, PredSym);
+
+/// Per class/structure name, its objects' relations: the class and every
+/// superclass (a class relation holds its subclasses' objects), or the
+/// structure itself.
+fn owner_map(schema: &Schema, catalog: &Catalog) -> HashMap<String, Vec<Owner>> {
+    let index: HashMap<&str, usize> = catalog
+        .relations
+        .iter()
+        .enumerate()
+        .filter_map(|(i, d)| match &d.kind {
+            RelKind::Class { class } | RelKind::Struct { strct: class } => {
+                Some((class.as_str(), i))
+            }
+            _ => None,
+        })
+        .collect();
+    let owner = |name: &str| {
+        let i = index[name];
+        (name.to_string(), i, extent_pred(catalog.relations[i].pred))
+    };
+    index
+        .keys()
+        .map(|&name| {
+            let owners = match schema.class(name) {
+                Some(_) => schema.chain(name).iter().map(|c| owner(&c.name)).collect(),
+                None => vec![owner(name)],
+            };
+            (name.to_string(), owners)
+        })
+        .collect()
+}
+
+/// Object `oid`'s tuple in class/structure relation `decl` (a missing
+/// attribute takes its column type's default). The one place object
+/// tuples are formed: writes and recovery both come through here.
+fn object_tuple(decl: &RelationDecl, oid: Oid, attrs: &BTreeMap<String, Value>) -> Vec<Const> {
+    let mut tuple: Vec<Const> = vec![Const::Oid(oid.0)];
+    for arg in decl.args.iter().skip(1) {
+        tuple.push(
+            attrs
+                .get(&arg.name)
+                .map(Value::to_const)
+                .unwrap_or(match &arg.ty {
+                    ArgType::Oid(_) => Const::Oid(0),
+                    ArgType::Base(BaseType::Str) => Const::Str(sqo_datalog::Sym::intern("")),
+                    ArgType::Base(BaseType::Real) => Const::Real(0.0.into()),
+                    ArgType::Base(BaseType::Bool) => Const::Bool(false),
+                    ArgType::Base(BaseType::Int) => Const::Int(0),
+                }),
+        );
+    }
+    tuple
+}
+
+fn oid_of(c: &Const) -> Oid {
+    match c {
+        Const::Oid(o) => Oid(*o),
+        other => unreachable!("relationship column holds non-OID {other}"),
+    }
+}
+
+/// Walk `hops` from `from` over the relationship relations' hash
+/// indexes: with `key_col` 0 forwards (from → to), with 1 backwards.
+/// Returns the distinct nodes reached after the last hop.
+fn walk<'a>(
+    edb: &EdbDatabase,
+    hops: impl Iterator<Item = &'a String>,
+    from: Const,
+    key_col: usize,
+) -> Vec<Const> {
+    let mut frontier = vec![from];
+    for hop in hops {
+        let Some(rel) = edb.relation(&PredSym::new(hop.as_str())) else {
+            return Vec::new();
+        };
+        let mut seen = HashSet::new();
+        frontier = frontier
+            .iter()
+            .flat_map(|node| rel.hash_probe(key_col, node).unwrap_or(&[]))
+            .map(|&pos| rel.tuple_at(pos)[1 - key_col])
+            .filter(|c| seen.insert(*c))
+            .collect();
+    }
+    frontier
+}
+
+/// Every (start, end) pair of an ASR path over the current relations:
+/// the union of the deltas of the first hop's pairs.
+fn asr_pairs(edb: &EdbDatabase, path: &[String]) -> Vec<(Const, Const)> {
+    let first = PredSym::new(path[0].as_str());
+    let pairs = edb.relation(&first).map_or(&[][..], |r| r.tuples());
+    pairs
+        .iter()
+        .flat_map(|t| asr_delta(edb, path, &(first, t[0], t[1])))
+        .collect()
+}
+
+/// The semi-naive insert delta of an ASR path for a new pair `(f, t)` of
+/// relation `pred` (already inserted): at every hop `i` that `pred`
+/// occupies, the prefix paths ending at `f` joined with the suffix paths
+/// starting at `t`.
+fn asr_delta(edb: &EdbDatabase, path: &[String], (pred, f, t): &Pair) -> Vec<(Const, Const)> {
+    let mut out = Vec::new();
+    for i in (0..path.len()).filter(|&i| path[i] == pred.name()) {
+        let ends = walk(edb, path[i + 1..].iter(), *t, 0);
+        for s in walk(edb, path[..i].iter().rev(), *f, 1) {
+            out.extend(ends.iter().map(|e| (s, *e)));
+        }
+    }
+    out
+}
+
 impl ObjectDb {
     /// Create an empty database over a schema.
     pub fn new(schema: Schema) -> Self {
         let catalog = translate_schema(&schema);
+        let edb = declare_edb(&schema, &catalog);
+        let owners = owner_map(&schema, &catalog);
         ObjectDb {
+            extents: owners.keys().map(|k| (k.clone(), Vec::new())).collect(),
+            owners,
             schema,
             catalog,
             objects: HashMap::new(),
-            extents: HashMap::new(),
-            links: HashMap::new(),
-            link_sets: HashMap::new(),
             methods: HashMap::new(),
             asrs: Vec::new(),
             next_oid: 1,
             generation: 0,
             store: None,
-            edb_cache: RefCell::new(None),
+            edb: RefCell::new(Arc::new(edb)),
+            method_facts: RefCell::default(),
         }
     }
 
@@ -179,15 +354,10 @@ impl ObjectDb {
                     .collect(),
             })?;
         }
-        let mut preds: Vec<&String> = self.links.keys().collect();
-        preds.sort_unstable();
-        for pred in preds {
-            for (f, t) in &self.links[pred] {
-                store.apply(&StoreOp::Link {
-                    pred: pred.clone(),
-                    from: f.0,
-                    to: t.0,
-                })?;
+        let edb = self.edb.borrow();
+        for pred in preds_of(&self.catalog, |k| matches!(k, RelKind::Relationship { .. })) {
+            for t in edb.relation(&pred).map_or(&[][..], |r| r.tuples()) {
+                store.apply(&pair_op(&(pred, t[0], t[1]), true))?;
             }
         }
         for def in &self.asrs {
@@ -201,72 +371,34 @@ impl ObjectDb {
         Ok(store.persist()?)
     }
 
-    /// Replay a pinned store view into the (empty) in-memory maps.
+    /// Replay a pinned store view into the (empty) database through the
+    /// same per-object and per-link paths the mutators use.
     fn load_view(&mut self, view: &StoreView) -> Result<()> {
         // Objects in OID order: OIDs allocate monotonically in creation
         // order, so this reproduces every extent's original order.
         for (oid, obj) in view.objects_sorted() {
-            self.restore_object(Oid(oid), &obj.class, &obj.attrs)?;
+            let attrs = obj
+                .attrs
+                .iter()
+                .map(|(k, v)| (k.clone(), Value::from_store(v)))
+                .collect();
+            self.add_object(Oid(oid), &obj.class, attrs)?;
         }
-        // Links ordered by their global sequence stamps: per-predicate
-        // insertion order comes back exactly.
+        // Links in global sequence-stamp order: per-predicate insertion
+        // order comes back exactly (inverses are their own pairs).
         for (pred, pairs) in view.links_by_pred() {
-            for (f, t) in pairs {
-                self.restore_link(&pred, Oid(f), Oid(t));
-            }
+            let pred = PredSym::new(pred);
+            let pairs: Vec<Pair> = pairs
+                .into_iter()
+                .map(|(f, t)| (pred, Const::Oid(f), Const::Oid(t)))
+                .collect();
+            self.insert_pairs(&pairs);
         }
         for asr in view.asrs() {
             let path: Vec<&str> = asr.path.iter().map(String::as_str).collect();
-            self.define_asr_inner(&asr.name, &asr.class, &path)?;
+            self.install_asr(&asr.name, &asr.class, &path)?;
         }
         Ok(())
-    }
-
-    /// Reinstate one stored object (no type checks: the data was
-    /// validated when originally written).
-    fn restore_object(
-        &mut self,
-        oid: Oid,
-        class: &str,
-        attrs: &BTreeMap<String, sqo_store::StoreValue>,
-    ) -> Result<()> {
-        let attrs: BTreeMap<String, Value> = attrs
-            .iter()
-            .map(|(k, v)| (k.clone(), Value::from_store(v)))
-            .collect();
-        if self.schema.class(class).is_some() {
-            for c in self.schema.chain(class) {
-                let name = c.name.clone();
-                self.extents.entry(name).or_default().push(oid);
-            }
-        } else if self.schema.structure(class).is_some() {
-            self.extents.entry(class.to_string()).or_default().push(oid);
-        } else {
-            return Err(ObjDbError::UnknownClass {
-                name: class.to_string(),
-            });
-        }
-        self.objects.insert(
-            oid,
-            Object {
-                class: class.to_string(),
-                attrs,
-            },
-        );
-        Ok(())
-    }
-
-    /// Reinstate one stored link pair (inverses are stored as their own
-    /// pairs, so no inverse maintenance here).
-    fn restore_link(&mut self, pred: &str, from: Oid, to: Oid) {
-        self.links
-            .entry(pred.to_string())
-            .or_default()
-            .push((from, to));
-        self.link_sets
-            .entry(pred.to_string())
-            .or_default()
-            .insert((from, to));
     }
 
     /// The schema.
@@ -289,9 +421,7 @@ impl ObjectDb {
         self.asrs.iter().map(|a| a.rule.clone()).collect()
     }
 
-    /// The local cache epoch. Bumped by every mutation; EDB snapshots
-    /// pinned at an older generation remain valid but are no longer
-    /// served for fresh reads.
+    /// The local epoch, bumped by every mutation.
     pub fn generation(&self) -> u64 {
         self.generation
     }
@@ -315,41 +445,109 @@ impl ObjectDb {
         }
     }
 
-    /// Bump the cache epoch without logging a store operation (used for
-    /// changes that do not touch durable state, e.g. method
-    /// registration).
+    /// Bump the epoch and drop materialized method facts: a method may
+    /// read any object, so its facts are re-materialized on demand after
+    /// every change. Only the method relations are cleared.
     fn touch(&mut self) {
         self.generation += 1;
+        if std::mem::take(self.method_facts.get_mut()).is_empty() {
+            return;
+        }
+        let edb = Arc::make_mut(self.edb.get_mut());
+        for pred in preds_of(&self.catalog, |k| matches!(k, RelKind::Method { .. })) {
+            edb.clear(pred);
+        }
     }
 
-    /// Mirror one shard-local operation into the attached store (if
-    /// any), then bump the cache epoch. Called *before* the in-memory
-    /// mutation so a failed append leaves memory untouched.
-    fn log(&mut self, op: &StoreOp) -> Result<()> {
+    /// Mirror a mutation into the attached store (if any), then bump
+    /// the epoch. Called *before* the in-memory delta so a failed append
+    /// leaves memory untouched. A compound mutation commits as a single
+    /// atomic [`StoreOp::Batch`] — one WAL frame, so a crash persists
+    /// either every component or none.
+    fn log(&mut self, mut ops: Vec<StoreOp>) -> Result<()> {
         if let Some(store) = &self.store {
-            store.apply(op)?;
+            let op = match ops.len() {
+                1 => ops.pop().expect("one op"),
+                _ => StoreOp::Batch { ops },
+            };
+            store.apply(&op)?;
         }
         self.touch();
         Ok(())
     }
 
-    /// Mirror a compound mutation into the attached store as a single
-    /// atomic [`StoreOp::Batch`] — one WAL frame, so a crash persists
-    /// either every component or none. Bumps the cache epoch once.
-    fn log_batch(&mut self, ops: Vec<StoreOp>) -> Result<()> {
-        if let Some(store) = &self.store {
-            match ops.len() {
-                0 => {}
-                1 => {
-                    store.apply(&ops[0])?;
-                }
-                _ => {
-                    store.apply(&StoreOp::Batch { ops })?;
+    /// Materialize one object: the object map, its extents, and its
+    /// tuple in every owning class/structure relation and `__extent`
+    /// relation.
+    fn add_object(&mut self, oid: Oid, class: &str, attrs: BTreeMap<String, Value>) -> Result<()> {
+        let owners = self
+            .owners
+            .get(class)
+            .ok_or_else(|| ObjDbError::UnknownClass {
+                name: class.to_string(),
+            })?;
+        let edb = Arc::make_mut(self.edb.get_mut());
+        for (name, i, extent) in owners {
+            let decl = &self.catalog.relations[*i];
+            edb.insert(decl.pred, object_tuple(decl, oid, &attrs))
+                .expect("declared arity");
+            edb.insert(*extent, vec![Const::Oid(oid.0)]).expect("unary");
+            self.extents.get_mut(name).expect("declared").push(oid);
+        }
+        self.objects.insert(
+            oid,
+            Object {
+                class: class.to_string(),
+                attrs,
+            },
+        );
+        Ok(())
+    }
+
+    /// Insert relationship pairs and propagate each into every ASR whose
+    /// path runs through its relation.
+    fn insert_pairs(&mut self, pairs: &[Pair]) {
+        let edb = Arc::make_mut(self.edb.get_mut());
+        for (pred, f, t) in pairs {
+            edb.insert(*pred, vec![*f, *t]).expect("binary");
+        }
+        for def in &self.asrs {
+            let asr = PredSym::new(def.name.as_str());
+            for pair in pairs {
+                for (s, e) in asr_delta(edb, &def.path, pair) {
+                    edb.insert(asr, vec![s, e]).expect("binary");
                 }
             }
         }
-        self.touch();
-        Ok(())
+    }
+
+    /// Remove relationship pairs and recompute the ASRs whose path runs
+    /// through one of their relations (deletions are not propagated
+    /// semi-naively).
+    fn remove_pairs(&mut self, pairs: &[Pair]) {
+        let edb = Arc::make_mut(self.edb.get_mut());
+        for (pred, f, t) in pairs {
+            edb.remove(*pred, &[*f, *t]);
+        }
+        let stale: BTreeSet<&str> = self
+            .asrs
+            .iter()
+            .filter(|d| {
+                d.path
+                    .iter()
+                    .any(|p| pairs.iter().any(|(pred, ..)| pred.name() == p))
+            })
+            .map(|d| d.name.as_str())
+            .collect();
+        for name in stale {
+            let asr = PredSym::new(name);
+            edb.clear(asr);
+            for def in self.asrs.iter().filter(|d| d.name == name) {
+                for (s, e) in asr_pairs(edb, &def.path) {
+                    edb.insert(asr, vec![s, e]).expect("binary");
+                }
+            }
+        }
     }
 
     fn alloc_oid(&mut self) -> Oid {
@@ -402,36 +600,7 @@ impl ObjectDb {
             }
             provided.insert(k, v);
         }
-        let mut final_attrs = BTreeMap::new();
-        for (name, ty) in &declared {
-            let value = match provided.remove(name.as_str()) {
-                Some(v) => self.check_type(class, name, ty, v)?,
-                None => self.default_value(ty)?,
-            };
-            final_attrs.insert(name.clone(), value);
-        }
-        let oid = self.alloc_oid();
-        self.log(&StoreOp::PutObject {
-            oid: oid.0,
-            class: class.to_string(),
-            attrs: final_attrs
-                .iter()
-                .map(|(k, v)| (k.clone(), v.to_store()))
-                .collect(),
-        })?;
-        self.objects.insert(
-            oid,
-            Object {
-                class: class.to_string(),
-                attrs: final_attrs,
-            },
-        );
-        // Register in its own extent and every superclass extent.
-        for c in self.schema.chain(class) {
-            let name = c.name.clone();
-            self.extents.entry(name).or_default().push(oid);
-        }
-        Ok(oid)
+        self.create_object(class, declared, provided)
     }
 
     /// Create a structure instance.
@@ -446,32 +615,35 @@ impl ObjectDb {
             .iter()
             .map(|f| (f.name.clone(), f.ty.clone()))
             .collect();
-        let mut provided: BTreeMap<&str, Value> = fields.into_iter().collect();
+        self.create_object(strct, declared, fields.into_iter().collect())
+    }
+
+    /// Type-check and default the declared attributes, log the object,
+    /// then apply its delta.
+    fn create_object(
+        &mut self,
+        class: &str,
+        declared: Vec<(String, Type)>,
+        mut provided: BTreeMap<&str, Value>,
+    ) -> Result<Oid> {
         let mut final_attrs = BTreeMap::new();
         for (name, ty) in &declared {
             let value = match provided.remove(name.as_str()) {
-                Some(v) => self.check_type(strct, name, ty, v)?,
+                Some(v) => self.check_type(class, name, ty, v)?,
                 None => self.default_value(ty)?,
             };
             final_attrs.insert(name.clone(), value);
         }
         let oid = self.alloc_oid();
-        self.log(&StoreOp::PutObject {
+        self.log(vec![StoreOp::PutObject {
             oid: oid.0,
-            class: strct.to_string(),
+            class: class.to_string(),
             attrs: final_attrs
                 .iter()
                 .map(|(k, v)| (k.clone(), v.to_store()))
                 .collect(),
-        })?;
-        self.objects.insert(
-            oid,
-            Object {
-                class: strct.to_string(),
-                attrs: final_attrs,
-            },
-        );
-        self.extents.entry(strct.to_string()).or_default().push(oid);
+        }])?;
+        self.add_object(oid, class, final_attrs)?;
         Ok(oid)
     }
 
@@ -528,16 +700,28 @@ impl ObjectDb {
                 detail: "not declared".into(),
             })?;
         let v = self.check_type(&class, attr, &ty, v)?;
-        self.log(&StoreOp::SetAttr {
+        self.log(vec![StoreOp::SetAttr {
             oid: oid.0,
             attr: attr.to_string(),
             value: v.to_store(),
-        })?;
-        self.objects
-            .get_mut(&oid)
-            .expect("checked above")
-            .attrs
-            .insert(attr.to_string(), v);
+        }])?;
+        let obj = self.objects.get_mut(&oid).expect("checked above");
+        obj.attrs.insert(attr.to_string(), v);
+        // Replace the object's tuple in place in every relation that
+        // carries the column.
+        let edb = Arc::make_mut(self.edb.get_mut());
+        for (_, i, _) in &self.owners[&class] {
+            let decl = &self.catalog.relations[*i];
+            if decl.arg_position(attr).is_none() {
+                continue;
+            }
+            let pos = edb
+                .relation(&decl.pred)
+                .and_then(|r| r.hash_probe(0, &Const::Oid(oid.0)))
+                .and_then(|ps| ps.first().copied())
+                .expect("live object has a tuple");
+            edb.replace(decl.pred, pos, object_tuple(decl, oid, &obj.attrs))?;
+        }
         Ok(())
     }
 
@@ -563,13 +747,13 @@ impl ObjectDb {
     }
 
     /// Resolve the relationship declaration reachable from an object's
-    /// class, returning (declaring class, target, many, pred name,
-    /// inverse pred name if any).
+    /// class, returning (target, many, relation predicate, inverse
+    /// relation predicate if any).
     fn resolve_rel(
         &self,
         class: &str,
         rel: &str,
-    ) -> Result<(String, String, bool, String, Option<String>)> {
+    ) -> Result<(String, bool, PredSym, Option<PredSym>)> {
         let Some(Member::Relationship(decl_cls, r)) = self.schema.find_member(class, rel) else {
             return Err(ObjDbError::UnknownRelationship {
                 class: class.to_string(),
@@ -580,21 +764,34 @@ impl ObjectDb {
             .catalog
             .relationship_relation(decl_cls, &r.name)
             .expect("relationship in catalog")
-            .pred
-            .name()
-            .to_string();
+            .pred;
         let inv_pred = r.inverse.as_ref().and_then(|(icls, irel)| {
             self.catalog
                 .relationship_relation(icls, irel)
-                .map(|d| d.pred.name().to_string())
+                .map(|d| d.pred)
         });
-        Ok((
-            decl_cls.to_string(),
-            r.target.clone(),
-            r.many,
-            pred,
-            inv_pred,
-        ))
+        Ok((r.target.clone(), r.many, pred, inv_pred))
+    }
+
+    /// The pairs of relationship relation `pred` whose column `col` is
+    /// `oid`, in insertion order (a hash-index probe).
+    fn pairs_on(&self, pred: PredSym, col: usize, oid: Oid) -> Vec<Pair> {
+        let edb = self.edb.borrow();
+        let Some(rel) = edb.relation(&pred) else {
+            return Vec::new();
+        };
+        rel.hash_probe(col, &Const::Oid(oid.0))
+            .unwrap_or(&[])
+            .iter()
+            .map(|&p| (pred, rel.tuple_at(p)[0], rel.tuple_at(p)[1]))
+            .collect()
+    }
+
+    fn has_pair(&self, pred: PredSym, from: Oid, to: Oid) -> bool {
+        self.edb
+            .borrow()
+            .relation(&pred)
+            .is_some_and(|r| r.contains(&[Const::Oid(from.0), Const::Oid(to.0)]))
     }
 
     /// Link two objects through a relationship (maintaining the inverse
@@ -612,139 +809,73 @@ impl ObjectDb {
             .ok_or(ObjDbError::UnknownObject { oid: to.0 })?
             .class
             .clone();
-        let (_, target, many, pred, inv_pred) = self.resolve_rel(&from_class, rel)?;
+        let (target, many, pred, inv_pred) = self.resolve_rel(&from_class, rel)?;
         if !self.schema.is_subclass_of(&to_class, &target) {
             return Err(ObjDbError::TypeMismatch {
                 expected: target,
                 found: to_class,
             });
         }
-        if self
-            .link_sets
-            .get(&pred)
-            .is_some_and(|s| s.contains(&(from, to)))
-        {
+        if self.has_pair(pred, from, to) {
             return Ok(()); // idempotent
         }
-        if !many {
-            let already = self
-                .links
-                .get(&pred)
-                .is_some_and(|v| v.iter().any(|(f, _)| *f == from));
-            if already {
+        if !many && !self.pairs_on(pred, 0, from).is_empty() {
+            return Err(ObjDbError::Cardinality {
+                relationship: format!("{from_class}::{rel}"),
+                detail: format!("{from} is already linked (to-one side)"),
+            });
+        }
+        // Cardinality on the inverse side.
+        if let Some(inv) = inv_pred {
+            let inv_many = self
+                .catalog
+                .relation_by_pred(&inv)
+                .map(|d| matches!(&d.kind, RelKind::Relationship { many, .. } if *many))
+                .unwrap_or(true);
+            if !inv_many && !self.pairs_on(inv, 0, to).is_empty() {
                 return Err(ObjDbError::Cardinality {
-                    relationship: format!("{from_class}::{rel}"),
-                    detail: format!("{from} is already linked (to-one side)"),
+                    relationship: format!("inverse of {from_class}::{rel}"),
+                    detail: format!("{to} is already linked (to-one inverse)"),
                 });
             }
         }
-        // Cardinality on the inverse side.
-        if let Some(inv) = &inv_pred {
-            let inv_many = self
-                .catalog
-                .relation_by_pred(&PredSym::new(inv.clone()))
-                .map(|d| matches!(&d.kind, RelKind::Relationship { many, .. } if *many))
-                .unwrap_or(true);
-            if !inv_many {
-                let already = self
-                    .links
-                    .get(inv)
-                    .is_some_and(|v| v.iter().any(|(f, _)| *f == to));
-                if already {
-                    return Err(ObjDbError::Cardinality {
-                        relationship: format!("inverse of {from_class}::{rel}"),
-                        detail: format!("{to} is already linked (to-one inverse)"),
-                    });
-                }
-            }
-        }
-        let mut ops = vec![StoreOp::Link {
-            pred: pred.clone(),
-            from: from.0,
-            to: to.0,
-        }];
-        if let Some(inv) = &inv_pred {
-            ops.push(StoreOp::Link {
-                pred: inv.clone(),
-                from: to.0,
-                to: from.0,
-            });
-        }
-        self.log_batch(ops)?;
-        self.links.entry(pred.clone()).or_default().push((from, to));
-        self.link_sets.entry(pred).or_default().insert((from, to));
-        if let Some(inv) = inv_pred {
-            self.links.entry(inv.clone()).or_default().push((to, from));
-            self.link_sets.entry(inv).or_default().insert((to, from));
-        }
+        let pairs = with_inverse(pred, inv_pred, from, to);
+        self.log(pairs.iter().map(|p| pair_op(p, true)).collect())?;
+        self.insert_pairs(&pairs);
         Ok(())
     }
 
     /// The objects linked from `from` through a relationship.
     pub fn linked(&self, from: Oid, rel: &str) -> Result<Vec<Oid>> {
-        let class = self
+        let class = &self
             .objects
             .get(&from)
             .ok_or(ObjDbError::UnknownObject { oid: from.0 })?
-            .class
-            .clone();
-        let (_, _, _, pred, _) = self.resolve_rel(&class, rel)?;
+            .class;
+        let (_, _, pred, _) = self.resolve_rel(class, rel)?;
         Ok(self
-            .links
-            .get(&pred)
-            .map(|v| {
-                v.iter()
-                    .filter(|(f, _)| *f == from)
-                    .map(|(_, t)| *t)
-                    .collect()
-            })
-            .unwrap_or_default())
+            .pairs_on(pred, 0, from)
+            .iter()
+            .map(|(_, _, t)| oid_of(t))
+            .collect())
     }
 
     /// Remove a relationship link (and its inverse). Returns whether the
     /// link existed.
     pub fn unlink(&mut self, from: Oid, rel: &str, to: Oid) -> Result<bool> {
-        let from_class = self
+        let from_class = &self
             .objects
             .get(&from)
             .ok_or(ObjDbError::UnknownObject { oid: from.0 })?
-            .class
-            .clone();
-        let (_, _, _, pred, inv_pred) = self.resolve_rel(&from_class, rel)?;
-        let existed = self
-            .link_sets
-            .get(&pred)
-            .is_some_and(|s| s.contains(&(from, to)));
-        if existed {
-            let mut ops = vec![StoreOp::Unlink {
-                pred: pred.clone(),
-                from: from.0,
-                to: to.0,
-            }];
-            if let Some(inv) = &inv_pred {
-                ops.push(StoreOp::Unlink {
-                    pred: inv.clone(),
-                    from: to.0,
-                    to: from.0,
-                });
-            }
-            self.log_batch(ops)?;
-            if let Some(s) = self.link_sets.get_mut(&pred) {
-                s.remove(&(from, to));
-            }
-            if let Some(v) = self.links.get_mut(&pred) {
-                v.retain(|p| *p != (from, to));
-            }
-            if let Some(inv) = inv_pred {
-                if let Some(s) = self.link_sets.get_mut(&inv) {
-                    s.remove(&(to, from));
-                }
-                if let Some(v) = self.links.get_mut(&inv) {
-                    v.retain(|p| *p != (to, from));
-                }
-            }
+            .class;
+        let (_, _, pred, inv_pred) = self.resolve_rel(from_class, rel)?;
+        if !self.has_pair(pred, from, to) {
+            return Ok(false);
         }
-        Ok(existed)
+        let pairs = with_inverse(pred, inv_pred, from, to);
+        self.log(pairs.iter().map(|p| pair_op(p, false)).collect())?;
+        self.remove_pairs(&pairs);
+        Ok(true)
     }
 
     /// Delete an object: removes it from every extent, severs every
@@ -753,40 +884,39 @@ impl ObjectDb {
     /// attributes are left in place (they may be shared in the Datalog
     /// representation).
     pub fn delete(&mut self, oid: Oid) -> Result<()> {
-        if !self.objects.contains_key(&oid) {
-            return Err(ObjDbError::UnknownObject { oid: oid.0 });
-        }
-        // Expand into shard-local store ops — one Unlink per severed
-        // pair (inverse pairs are their own entries), then the removal
-        // — committed as one atomic batch frame.
-        let mut severed: Vec<(String, Oid, Oid)> = Vec::new();
-        for (pred, pairs) in &self.links {
-            for (f, t) in pairs {
-                if *f == oid || *t == oid {
-                    severed.push((pred.clone(), *f, *t));
+        let class = self
+            .objects
+            .get(&oid)
+            .ok_or(ObjDbError::UnknownObject { oid: oid.0 })?
+            .class
+            .clone();
+        // The severed pairs, from both endpoint indexes of every
+        // relationship relation (inverse pairs are their own entries).
+        let mut severed: Vec<Pair> = Vec::new();
+        for pred in preds_of(&self.catalog, |k| matches!(k, RelKind::Relationship { .. })) {
+            for pair in [0, 1].into_iter().flat_map(|c| self.pairs_on(pred, c, oid)) {
+                if !severed.contains(&pair) {
+                    severed.push(pair);
                 }
             }
         }
-        let mut ops: Vec<StoreOp> = severed
-            .iter()
-            .map(|(pred, f, t)| StoreOp::Unlink {
-                pred: pred.clone(),
-                from: f.0,
-                to: t.0,
-            })
-            .collect();
+        // One Unlink per severed pair, then the removal — committed as
+        // one atomic batch frame.
+        let mut ops: Vec<StoreOp> = severed.iter().map(|p| pair_op(p, false)).collect();
         ops.push(StoreOp::RemoveObject { oid: oid.0 });
-        self.log_batch(ops)?;
-        for v in self.extents.values_mut() {
-            v.retain(|o| *o != oid);
+        self.log(ops)?;
+        let obj = self.objects.remove(&oid).expect("checked above");
+        let edb = Arc::make_mut(self.edb.get_mut());
+        for (name, i, extent) in &self.owners[&class] {
+            let decl = &self.catalog.relations[*i];
+            edb.remove(decl.pred, &object_tuple(decl, oid, &obj.attrs));
+            edb.remove(*extent, &[Const::Oid(oid.0)]);
+            self.extents
+                .get_mut(name)
+                .expect("declared")
+                .retain(|o| *o != oid);
         }
-        for (pred, pairs) in self.links.iter_mut() {
-            pairs.retain(|(f, t)| *f != oid && *t != oid);
-            if let Some(set) = self.link_sets.get_mut(pred) {
-                set.retain(|(f, t)| *f != oid && *t != oid);
-            }
-        }
-        self.objects.remove(&oid);
+        self.remove_pairs(&severed);
         Ok(())
     }
 
@@ -800,8 +930,9 @@ impl ObjectDb {
                 detail: "not declared in the schema".into(),
             })?;
         self.methods.insert(decl.pred.name().to_string(), f);
-        // Methods are closures, not durable state: bump the cache epoch
-        // without logging a store op.
+        // Methods are closures, not durable state: bump the epoch (which
+        // drops facts the previous implementation produced) without
+        // logging a store op.
         self.touch();
         Ok(())
     }
@@ -817,19 +948,21 @@ impl ObjectDb {
 
     /// Define (and materialize) an access support relation over a path of
     /// relationship names starting at `class`. Returns the view predicate.
+    /// From then on `link` maintains it by semi-naive deltas; `unlink` and
+    /// `delete` recompute it when they touch its path.
     pub fn define_asr(&mut self, name: &str, class: &str, path: &[&str]) -> Result<PredSym> {
-        let pred = self.define_asr_inner(name, class, path)?;
-        self.log(&StoreOp::DefineAsr {
+        let pred = self.install_asr(name, class, path)?;
+        self.log(vec![StoreOp::DefineAsr {
             name: pred.name().to_string(),
             class: class.to_string(),
             path: path.iter().map(|s| s.to_string()).collect(),
-        })?;
+        }])?;
         Ok(pred)
     }
 
     /// `define_asr` minus the durable logging (shared with store
     /// recovery, which replays recorded definitions).
-    fn define_asr_inner(&mut self, name: &str, class: &str, path: &[&str]) -> Result<PredSym> {
+    fn install_asr(&mut self, name: &str, class: &str, path: &[&str]) -> Result<PredSym> {
         if path.is_empty() {
             return Err(ObjDbError::BadAsrPath {
                 detail: "empty path".into(),
@@ -838,8 +971,11 @@ impl ObjectDb {
         let mut preds = Vec::new();
         let mut cur_class = class.to_string();
         for rel in path {
-            let (_, target, _, pred, _) = self.resolve_rel_by_class(&cur_class, rel)?;
-            preds.push(pred);
+            if self.schema.class(&cur_class).is_none() {
+                return Err(ObjDbError::UnknownClass { name: cur_class });
+            }
+            let (target, _, pred, _) = self.resolve_rel(&cur_class, rel)?;
+            preds.push(pred.name().to_string());
             cur_class = target;
         }
         // Build the view rule asr(X0, Xn) ← r1(X0, X1), …, rn(Xn-1, Xn).
@@ -856,6 +992,11 @@ impl ObjectDb {
         );
         let rule = Rule::new(head, body);
         let pred = self.catalog.register_view(name, 2);
+        let edb = Arc::make_mut(self.edb.get_mut());
+        declare_binary(edb, pred);
+        for (s, e) in asr_pairs(edb, &preds) {
+            edb.insert(pred, vec![s, e]).expect("binary");
+        }
         self.asrs.push(AsrDef {
             name: pred.name().to_string(),
             src_class: class.to_string(),
@@ -866,215 +1007,45 @@ impl ObjectDb {
         Ok(pred)
     }
 
-    /// Like [`resolve_rel`](Self::resolve_rel) but starting from a class
-    /// name rather than an instance.
-    fn resolve_rel_by_class(
-        &self,
-        class: &str,
-        rel: &str,
-    ) -> Result<(String, String, bool, String, Option<String>)> {
-        if self.schema.class(class).is_none() {
-            return Err(ObjDbError::UnknownClass {
-                name: class.to_string(),
-            });
-        }
-        self.resolve_rel(class, rel)
-    }
-
-    /// Materialized pairs of an ASR (walking the stored links).
-    fn asr_pairs(&self, def: &AsrDef) -> Vec<(Oid, Oid)> {
-        let mut frontier: Option<Vec<(Oid, Oid)>> = None;
-        for pred in &def.path {
-            let hop = self.links.get(pred).cloned().unwrap_or_default();
-            frontier = Some(match frontier {
-                None => hop,
-                Some(prev) => {
-                    let mut index: HashMap<Oid, Vec<Oid>> = HashMap::new();
-                    for (f, t) in &hop {
-                        index.entry(*f).or_default().push(*t);
-                    }
-                    let mut next = Vec::new();
-                    let mut seen = HashSet::new();
-                    for (start, mid) in prev {
-                        if let Some(ends) = index.get(&mid) {
-                            for e in ends {
-                                if seen.insert((start, *e)) {
-                                    next.push((start, *e));
-                                }
-                            }
-                        }
-                    }
-                    next
-                }
-            });
-        }
-        frontier.unwrap_or_default()
-    }
-
-    /// The Datalog representation of the whole store (cached).
+    /// The Datalog representation of the whole store.
     ///
-    /// Produces: full class/structure relations (a class relation contains
+    /// Holds: full class/structure relations (a class relation contains
     /// its subclasses' objects, projected onto the class's attributes),
     /// unary `{pred}__extent` relations for cheap extent membership,
-    /// relationship relations, and materialized ASR relations. Method
-    /// relations are materialized lazily per (method, arguments) combo by
+    /// relationship relations, and materialized ASR relations, all kept
+    /// current by the mutators. Method relations are materialized lazily
+    /// per (method, arguments) combo by
     /// [`ensure_method_facts`](Self::ensure_method_facts).
     pub fn edb(&self) -> std::cell::Ref<'_, EdbDatabase> {
-        self.refresh_edb();
-        std::cell::Ref::map(self.edb_cache.borrow(), |o| {
-            o.as_ref().expect("just built").edb.as_ref()
-        })
-    }
-
-    /// Rebuild the cached EDB if it is missing or was built at an older
-    /// generation. Pinned `Arc` clones of a stale entry stay untouched.
-    fn refresh_edb(&self) {
-        let mut cache = self.edb_cache.borrow_mut();
-        let fresh = cache
-            .as_ref()
-            .is_some_and(|e| e.generation == self.generation);
-        if !fresh {
-            *cache = Some(EdbCacheEntry {
-                generation: self.generation,
-                edb: Arc::new(self.build_edb()),
-                methods: HashSet::new(),
-            });
-        }
+        std::cell::Ref::map(self.edb.borrow(), |e| e.as_ref())
     }
 
     /// A consistent EDB snapshot pinned at the current generation.
     ///
     /// The returned `Arc` stays valid and *unchanged* while later
-    /// writers advance the database: mutations bump the generation and
-    /// rebuild the cache entry rather than touching shared state, and
-    /// late method materialization copies-on-write. Long-running
-    /// evaluations (or service sessions) should pin once and evaluate
-    /// against the pin.
+    /// writers advance the database: the first write (or late method
+    /// materialization) after a pin copies the EDB before changing it.
+    /// Long-running evaluations should pin once and evaluate against the
+    /// pin; holding no pin keeps writes copy-free.
     pub fn edb_pinned(&self) -> Arc<EdbDatabase> {
-        self.refresh_edb();
-        self.edb_cache
-            .borrow()
-            .as_ref()
-            .expect("just built")
-            .edb
-            .clone()
+        self.edb.borrow().clone()
     }
 
-    /// Build a fresh (uncached) EDB from a pinned store view, so an EDB
-    /// build can run against a consistent generation while writers keep
-    /// advancing the attached store.
+    /// Build a fresh EDB from a pinned store view, so an EDB build can
+    /// run against a consistent generation while writers keep advancing
+    /// the attached store.
     pub fn edb_for_view(&self, view: &StoreView) -> Result<EdbDatabase> {
         let mut tmp = ObjectDb::new(self.schema.clone());
         tmp.load_view(view)?;
-        Ok(tmp.build_edb())
-    }
-
-    fn build_edb(&self) -> EdbDatabase {
-        let mut db = EdbDatabase::new();
-        for decl in &self.catalog.relations {
-            match &decl.kind {
-                RelKind::Class { class } | RelKind::Struct { strct: class } => {
-                    let pred = decl.pred;
-                    let extent_pred = PredSym::new(format!("{}__extent", pred.name()));
-                    db.declare(pred, decl.arity());
-                    db.declare(extent_pred, 1);
-                    // Physical design: the OID column and every declared
-                    // (single-attribute) key get a hash index; numeric
-                    // attributes get an ordered index for range probes.
-                    // String attributes stay unindexed unless they are
-                    // keys — equality on a non-key string is a scan.
-                    db.declare_hash_index(pred, 0);
-                    db.declare_hash_index(extent_pred, 0);
-                    if let Some(cls) = self.schema.class(class) {
-                        for key in &cls.keys {
-                            if let [attr] = key.as_slice() {
-                                if let Some(pos) = decl.arg_position(attr) {
-                                    db.declare_hash_index(pred, pos);
-                                }
-                            }
-                        }
-                    }
-                    for (pos, arg) in decl.args.iter().enumerate().skip(1) {
-                        if matches!(
-                            arg.ty,
-                            ArgType::Base(BaseType::Int) | ArgType::Base(BaseType::Real)
-                        ) {
-                            db.declare_ordered_index(pred, pos);
-                        }
-                    }
-                    for oid in self.extent(class) {
-                        let obj = &self.objects[oid];
-                        let mut tuple: Vec<Const> = vec![Const::Oid(oid.0)];
-                        for arg in decl.args.iter().skip(1) {
-                            let v =
-                                obj.attrs
-                                    .get(&arg.name)
-                                    .map(Value::to_const)
-                                    .unwrap_or(match &arg.ty {
-                                        ArgType::Oid(_) => Const::Oid(0),
-                                        ArgType::Base(BaseType::Str) => {
-                                            Const::Str(sqo_datalog::Sym::intern(""))
-                                        }
-                                        ArgType::Base(BaseType::Real) => Const::Real(0.0.into()),
-                                        ArgType::Base(BaseType::Bool) => Const::Bool(false),
-                                        ArgType::Base(BaseType::Int) => Const::Int(0),
-                                    });
-                            tuple.push(v);
-                        }
-                        db.insert(pred, tuple).expect("consistent arity");
-                        db.insert(extent_pred, vec![Const::Oid(oid.0)])
-                            .expect("unary");
-                    }
-                }
-                RelKind::Relationship { .. } => {
-                    db.declare(decl.pred, 2);
-                    db.declare_hash_index(decl.pred, 0);
-                    db.declare_hash_index(decl.pred, 1);
-                    if let Some(pairs) = self.links.get(decl.pred.name()) {
-                        for (f, t) in pairs {
-                            db.insert(decl.pred, vec![Const::Oid(f.0), Const::Oid(t.0)])
-                                .expect("binary");
-                        }
-                    }
-                }
-                RelKind::View { .. } => {
-                    db.declare(decl.pred, 2);
-                    db.declare_hash_index(decl.pred, 0);
-                    db.declare_hash_index(decl.pred, 1);
-                }
-                RelKind::Method { .. } => {
-                    db.declare(decl.pred, decl.arity());
-                    db.declare_hash_index(decl.pred, 0);
-                }
-            }
-        }
-        for def in &self.asrs {
-            let pred = PredSym::new(def.name.clone());
-            for (f, t) in self.asr_pairs(def) {
-                db.insert(pred, vec![Const::Oid(f.0), Const::Oid(t.0)])
-                    .expect("binary");
-            }
-            db.declare_hash_index(pred, 0);
-            db.declare_hash_index(pred, 1);
-        }
-        db
+        Ok(Arc::unwrap_or_clone(tmp.edb.into_inner()))
     }
 
     /// Ensure method facts for the given (method predicate, constant
-    /// arguments) combination exist in the cached EDB. Returns the number
-    /// of invocations performed (0 when already materialized).
+    /// arguments) combination exist in the EDB. Returns the number of
+    /// invocations performed (0 when already materialized).
     pub fn ensure_method_facts(&self, pred: &str, args: &[Const]) -> Result<u64> {
         let key = (pred.to_string(), args.to_vec());
-        // Bring the cache entry up to the current generation first; the
-        // materialized-methods set lives with the entry, so stale
-        // entries never short-circuit.
-        self.refresh_edb();
-        if self
-            .edb_cache
-            .borrow()
-            .as_ref()
-            .is_some_and(|e| e.methods.contains(&key))
-        {
+        if self.method_facts.borrow().contains(&key) {
             return Ok(0);
         }
         let decl = self
@@ -1090,32 +1061,54 @@ impl ObjectDb {
                 detail: "not a method relation".into(),
             });
         };
-        let class = class.clone();
         let values: Vec<Value> = args.iter().map(Value::from_const).collect();
-        let receivers: Vec<Oid> = self.extent(&class).to_vec();
-        let mut calls = 0u64;
+        let receivers = self.extent(class);
         let mut facts: Vec<Vec<Const>> = Vec::with_capacity(receivers.len());
-        for oid in receivers {
+        for &oid in receivers {
             let out = self.call_method(pred, oid, &values)?;
-            calls += 1;
             let mut tuple = vec![Const::Oid(oid.0)];
             tuple.extend(args.iter().cloned());
             tuple.push(out.to_const());
             facts.push(tuple);
         }
-        {
-            let mut cache = self.edb_cache.borrow_mut();
-            let entry = cache.as_mut().expect("cache built above");
-            // Copy-on-write: if a pinned snapshot holds this Arc, the
-            // clone keeps the pin isolated from the new facts.
-            let db = Arc::make_mut(&mut entry.edb);
-            for t in facts {
-                db.insert(PredSym::new(pred), t).map_err(ObjDbError::from)?;
-            }
-            entry.methods.insert(key);
+        let calls = facts.len() as u64;
+        // Copy-on-write: if a pinned snapshot holds the Arc, the clone
+        // keeps the pin isolated from the new facts.
+        let mut edb = self.edb.borrow_mut();
+        let db = Arc::make_mut(&mut edb);
+        for t in facts {
+            db.insert(PredSym::new(pred), t).map_err(ObjDbError::from)?;
         }
+        self.method_facts.borrow_mut().insert(key);
         Ok(calls)
     }
+}
+
+/// The pair `from → to` of relation `pred`, and its inverse pair.
+fn with_inverse(pred: PredSym, inv: Option<PredSym>, from: Oid, to: Oid) -> Vec<Pair> {
+    let (f, t) = (Const::Oid(from.0), Const::Oid(to.0));
+    std::iter::once((pred, f, t))
+        .chain(inv.map(|i| (i, t, f)))
+        .collect()
+}
+
+/// The store operation linking (or unlinking) one relationship pair.
+fn pair_op((pred, f, t): &Pair, link: bool) -> StoreOp {
+    let (pred, from, to) = (pred.name().to_string(), oid_of(f).0, oid_of(t).0);
+    if link {
+        StoreOp::Link { pred, from, to }
+    } else {
+        StoreOp::Unlink { pred, from, to }
+    }
+}
+
+/// The catalog relations of one kind.
+fn preds_of(catalog: &Catalog, kind: fn(&RelKind) -> bool) -> impl Iterator<Item = PredSym> + '_ {
+    catalog
+        .relations
+        .iter()
+        .filter(move |d| kind(&d.kind))
+        .map(|d| d.pred)
 }
 
 #[cfg(test)]

@@ -169,10 +169,13 @@ pub enum Counter {
     StoreRecoverNs,
     /// Total nanoseconds spent waiting to acquire store shard locks.
     StoreShardLockWaitNs,
+    /// Full object-database EDB constructions (database creation and
+    /// store recovery; writes maintain the EDB by deltas instead).
+    EdbBuilds,
 }
 
 /// Number of distinct counters.
-pub const N_COUNTERS: usize = 39;
+pub const N_COUNTERS: usize = 40;
 
 const COUNTER_NAMES: [&str; N_COUNTERS] = [
     "odl.classes_parsed",
@@ -214,6 +217,7 @@ const COUNTER_NAMES: [&str; N_COUNTERS] = [
     "store.snapshot_bytes",
     "store.recover_ns",
     "store.shard_lock_wait",
+    "objdb.edb_builds",
 ];
 
 impl Counter {
@@ -269,6 +273,7 @@ const ALL_COUNTERS: [Counter; N_COUNTERS] = [
     Counter::StoreSnapshotBytes,
     Counter::StoreRecoverNs,
     Counter::StoreShardLockWaitNs,
+    Counter::EdbBuilds,
 ];
 
 /// Global merged totals. Thread-local cells flush here on thread exit and on

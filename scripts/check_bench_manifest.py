@@ -35,6 +35,14 @@ which never overwrites the manifest, so this validates what a full
    (refresh with `tables --store-recovery`) and under its 10 s budget:
    a cold open of a million-object store must load the snapshot and
    replay the WAL tail without an order-of-magnitude regression.
+8. The write-then-read rows `objdb/write_read_cycle/1.5k` and
+   `objdb/write_read_cycle/15k` (one create + link + executed read, on
+   ~1.5k- and ~15k-object university stores; refresh with
+   `tables --write-read`) and the frozen `objdb/write_read_cycle/15k_baseline`
+   (the same cycle measured once on the whole-EDB-rebuild build) are
+   present. A write costs time in proportion to the write, so growth is
+   near flat — the 15k cycle is at most 3x the 1.5k cycle — and the 15k
+   cycle is at least 20x faster than its frozen baseline.
 
 Usage: python3 scripts/check_bench_manifest.py [path/to/BENCH_pipeline.json]
 """
@@ -73,6 +81,14 @@ SERVE_QUANTILE_PAIRS = (
 # replay), not machine noise.
 STORE_ROW = "store/recover_1m_objects"
 STORE_MAX_RECOVER_NS = 10e9
+
+# Write-then-read on a maintained EDB: near-flat growth across a 10x
+# larger store, and a floor on the speedup over the frozen rebuild
+# baseline.
+WRITE_READ_SMALL = "objdb/write_read_cycle/1.5k"
+WRITE_READ_LARGE = "objdb/write_read_cycle/15k"
+WRITE_READ_MAX_GROWTH = 3.0
+WRITE_READ_MIN_SPEEDUP = 20.0
 
 # Step-3 search: (row, minimum speedup over the exhaustive-BFS baseline).
 STEP3_GATES = (
@@ -154,6 +170,24 @@ def main() -> None:
             "budget"
         )
 
+    for row in (WRITE_READ_SMALL, WRITE_READ_LARGE, WRITE_READ_LARGE + "_baseline"):
+        if row not in manifest:
+            fail(f"missing write-then-read row {row!r} — run the full tables "
+                 "binary or `tables --write-read`")
+    growth = manifest[WRITE_READ_LARGE] / manifest[WRITE_READ_SMALL]
+    if growth > WRITE_READ_MAX_GROWTH:
+        fail(
+            f"{WRITE_READ_LARGE} is {growth:.2f}x {WRITE_READ_SMALL} (> "
+            f"{WRITE_READ_MAX_GROWTH}x): a write followed by a read grows with "
+            "the store instead of with the write"
+        )
+    wr_speedup = manifest[WRITE_READ_LARGE + "_baseline"] / manifest[WRITE_READ_LARGE]
+    if wr_speedup < WRITE_READ_MIN_SPEEDUP:
+        fail(
+            f"{WRITE_READ_LARGE} is only {wr_speedup:.1f}x faster than its "
+            f"frozen baseline (< {WRITE_READ_MIN_SPEEDUP}x)"
+        )
+
     step3_speedups = {}
     for row, floor in STEP3_GATES:
         for suffix in ("", "_baseline", "_seed"):
@@ -181,7 +215,9 @@ def main() -> None:
         f"serve p99 {manifest['serve/p99'] / 1e6:.2f} ms event-loop vs "
         f"{manifest['serve/p99_threaded'] / 1e6:.2f} ms threaded; "
         f"overload shed rate {shed}; "
-        f"1m-object recovery {recover / 1e6:.0f} ms)"
+        f"1m-object recovery {recover / 1e6:.0f} ms; "
+        f"write-then-read 15k/1.5k growth {growth:.2f}x, "
+        f"{wr_speedup:.0f}x vs rebuild baseline)"
     )
 
 
