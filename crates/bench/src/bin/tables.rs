@@ -839,6 +839,22 @@ fn bench_pipeline(quick: bool) {
                 }),
             );
         }
+        // Warm hit plus its report: a worker's whole per-request CPU on a
+        // served cache hit (the cached optimize and the explain JSON the
+        // response embeds). `serve/warm_hit_report_baseline` is frozen:
+        // measured once on the global-snapshot, pretty-then-compact
+        // report path this replaced.
+        {
+            let cache = PlanCache::new();
+            record(
+                &mut bench,
+                "serve/warm_hit_report",
+                median_ns(reps_small, || {
+                    let (report, _) = prep.optimize_cached(&cache, serve_q).unwrap();
+                    std::hint::black_box(report.explain_json());
+                }),
+            );
+        }
         record(
             &mut bench,
             "serve/warm_hit_baseline",

@@ -38,7 +38,7 @@ use sqo_oql::SelectQuery;
 use sqo_translate::{translate_query, Catalog};
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use sqo_datalog::term::{Const, Var};
 
@@ -85,8 +85,9 @@ struct CacheEntry {
     repr_params: Vec<Const>,
     /// The representative's variables, in canonical order.
     repr_var_order: Vec<Var>,
-    /// The representative's search outcome.
-    outcome: Outcome,
+    /// The representative's search outcome, shared so a hit clones the
+    /// `Arc` (not the rewrite set) under the shard lock.
+    outcome: Arc<Outcome>,
 }
 
 /// A bounded, invalidation-aware cache of Step-3 search outcomes keyed
@@ -293,7 +294,7 @@ impl PreparedOptimizer {
         backend: search::Backend,
     ) -> Result<OptimizationReport> {
         let _span = obs::span!("pipeline.optimize");
-        let before = obs::snapshot();
+        let scope = obs::stats_scope();
         obs::bump(obs::Counter::OptimizerQueries);
         let translation = translate_query(original, &self.schema, &self.catalog)?;
         let datalog = translation.query.clone();
@@ -304,7 +305,7 @@ impl PreparedOptimizer {
             normalized: translation.normalized,
             datalog,
             verdict,
-            stats: obs::snapshot().since(&before),
+            stats: scope.finish(),
         })
     }
 
@@ -333,7 +334,7 @@ impl PreparedOptimizer {
         strategy: search::Strategy,
     ) -> Result<OptimizationReport> {
         let _span = obs::span!("pipeline.optimize");
-        let before = obs::snapshot();
+        let scope = obs::stats_scope();
         obs::bump(obs::Counter::OptimizerQueries);
         let translation = translate_query(original, &self.schema, &self.catalog)?;
         let datalog = translation.query.clone();
@@ -348,7 +349,7 @@ impl PreparedOptimizer {
             normalized: translation.normalized,
             datalog,
             verdict,
-            stats: obs::snapshot().since(&before),
+            stats: scope.finish(),
         })
     }
 
@@ -372,7 +373,7 @@ impl PreparedOptimizer {
         original: &SelectQuery,
     ) -> Result<(OptimizationReport, CacheOutcome)> {
         let _span = obs::span!("pipeline.optimize");
-        let before = obs::snapshot();
+        let scope = obs::stats_scope();
         obs::bump(obs::Counter::OptimizerQueries);
         let translation = translate_query(original, &self.schema, &self.catalog)?;
         let datalog = translation.query.clone();
@@ -408,7 +409,7 @@ impl PreparedOptimizer {
                 normalized: translation.normalized,
                 datalog,
                 verdict,
-                stats: obs::snapshot().since(&before),
+                stats: scope.finish(),
             },
             disposition,
         ))
@@ -435,7 +436,7 @@ impl PreparedOptimizer {
         if param_signature(&template.params, &entry.thresholds) != entry.signature {
             return Err(true);
         }
-        let outcome = entry.outcome.clone();
+        let outcome = Arc::clone(&entry.outcome);
         let retarget = Retarget::new(
             &entry.repr_var_order,
             &template.var_order,
@@ -444,7 +445,7 @@ impl PreparedOptimizer {
         );
         drop(entries);
         let _s = obs::span!("cache.retarget");
-        Ok(retarget.outcome(outcome))
+        Ok(retarget.outcome(&outcome))
     }
 
     /// Insert (or replace) the template's entry with a fresh outcome.
@@ -464,7 +465,7 @@ impl PreparedOptimizer {
             thresholds,
             repr_params: template.params.clone(),
             repr_var_order: template.var_order.clone(),
-            outcome: outcome.clone(),
+            outcome: Arc::new(outcome.clone()),
         };
         if let Ok(mut entries) = cache.shard(template.hash).lock() {
             if entries.len() >= cache.shard_capacity && !entries.contains_key(&template.hash) {
@@ -652,18 +653,18 @@ impl Retarget {
     }
 
     /// Retarget a cached outcome. Variant queries are rewritten onto the
-    /// new variables/constants; derivation steps are kept verbatim — the
-    /// provenance describes the template representative's derivation,
-    /// which is step-for-step the derivation of the new query.
-    fn outcome(mut self, o: Outcome) -> Outcome {
+    /// new variables/constants; derivation steps are copied verbatim —
+    /// the provenance describes the template representative's
+    /// derivation, which is step-for-step the derivation of the new query.
+    fn outcome(mut self, o: &Outcome) -> Outcome {
         match o {
-            Outcome::Contradiction { .. } => o,
+            Outcome::Contradiction { .. } => o.clone(),
             Outcome::Equivalents(variants) => Outcome::Equivalents(
                 variants
-                    .into_iter()
+                    .iter()
                     .map(|v| Variant {
                         query: self.query(&v.query),
-                        steps: v.steps,
+                        steps: v.steps.clone(),
                     })
                     .collect(),
             ),

@@ -11,9 +11,10 @@
 //! output never depends on the backend, the search strategy, or the
 //! build configuration.
 //!
-//! Everything runs inside ONE test function: per-report counter deltas
-//! are computed against the process-global `sqo-obs` registry, so
-//! concurrently running tests in the same binary would pollute them.
+//! Everything runs inside ONE test function. Per-report stats are exact
+//! per-thread scopes (the parallel backend's workers hand their counters
+//! to the optimizing thread), so the parallel and sequential counters
+//! must agree exactly.
 
 use sqo_core::Backend;
 use sqo_datalog::search::Strategy;
@@ -60,12 +61,10 @@ fn first_50_seeds_explain_json_backend_and_strategy_invariant() {
         opt.set_search_strategy(Strategy::Bfs);
         let mut bfs = opt.optimize_query(&query).expect("bfs optimize");
 
-        // Span and histogram wall-clock timings are the legitimately
-        // nondeterministic fields; everything else must match bytewise.
+        // Span wall-clock timings are the legitimately nondeterministic
+        // field; everything else must match bytewise.
         par.stats.spans = BTreeMap::new();
         seq.stats.spans = BTreeMap::new();
-        par.stats.hists = BTreeMap::new();
-        seq.stats.hists = BTreeMap::new();
         let par_json = par.explain_json();
         let seq_json = seq.explain_json();
         assert_eq!(
@@ -80,9 +79,8 @@ fn first_50_seeds_explain_json_backend_and_strategy_invariant() {
         // skips work BFS performs — but verdicts, variants, plans, and
         // every other field may not).
         bfs.stats.spans = BTreeMap::new();
-        bfs.stats.hists = BTreeMap::new();
-        bfs.stats.counters = BTreeMap::new();
-        par.stats.counters = BTreeMap::new();
+        bfs.stats.counters = [0; sqo_obs::N_COUNTERS];
+        par.stats.counters = [0; sqo_obs::N_COUNTERS];
         assert_eq!(
             par.explain_json(),
             bfs.explain_json(),

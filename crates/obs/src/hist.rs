@@ -178,24 +178,28 @@ impl Histogram {
     }
 
     /// Serializes the summary (`count`, `p50`, `p90`, `p99`, `max`) as a
-    /// single-line JSON object; quantiles are `null` when empty.
+    /// compact JSON object; quantiles are `null` when empty.
     pub fn summary_json(&self) -> String {
-        let q = |p: f64| match self.quantile(p) {
-            Some(v) => v.to_string(),
-            None => "null".to_string(),
-        };
-        let max = match self.max() {
-            Some(v) => v.to_string(),
-            None => "null".to_string(),
-        };
-        format!(
-            "{{\"count\": {}, \"p50\": {}, \"p90\": {}, \"p99\": {}, \"max\": {}}}",
-            self.count,
-            q(0.5),
-            q(0.9),
-            q(0.99),
-            max
-        )
+        let mut out = String::new();
+        self.write_summary_json(&mut out);
+        out
+    }
+
+    /// Appends [`Histogram::summary_json`] to `out`.
+    pub(crate) fn write_summary_json(&self, out: &mut String) {
+        use std::fmt::Write;
+        fn field(out: &mut String, key: &str, v: Option<u64>) {
+            let _ = match v {
+                Some(v) => write!(out, ",\"{key}\":{v}"),
+                None => write!(out, ",\"{key}\":null"),
+            };
+        }
+        let _ = write!(out, "{{\"count\":{}", self.count);
+        field(out, "p50", self.quantile(0.5));
+        field(out, "p90", self.quantile(0.9));
+        field(out, "p99", self.quantile(0.99));
+        field(out, "max", self.max());
+        out.push('}');
     }
 }
 
@@ -212,7 +216,7 @@ mod tests {
         assert_eq!(h.quantile(1.0), None);
         assert_eq!(h.min(), None);
         assert_eq!(h.max(), None);
-        assert!(h.summary_json().contains("\"p50\": null"));
+        assert!(h.summary_json().contains("\"p50\":null"));
     }
 
     #[test]

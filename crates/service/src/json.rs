@@ -92,32 +92,6 @@ pub fn parse(src: &str) -> Result<Json, String> {
     Ok(v)
 }
 
-/// Removes insignificant whitespace from JSON text — used to embed the
-/// (pretty-printed) explain report into a single-line wire response.
-pub fn compact(src: &str) -> String {
-    let mut out = String::with_capacity(src.len());
-    let mut in_str = false;
-    let mut escaped = false;
-    for c in src.chars() {
-        if in_str {
-            out.push(c);
-            if escaped {
-                escaped = false;
-            } else if c == '\\' {
-                escaped = true;
-            } else if c == '"' {
-                in_str = false;
-            }
-        } else if c == '"' {
-            in_str = true;
-            out.push(c);
-        } else if !c.is_ascii_whitespace() {
-            out.push(c);
-        }
-    }
-    out
-}
-
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -310,11 +284,5 @@ mod tests {
         assert!(parse("{\"a\": 1} trailing").is_err());
         assert!(parse("[1, 2").is_err());
         assert!(parse("").is_err());
-    }
-
-    #[test]
-    fn compact_preserves_strings() {
-        let src = "{\n  \"a b\": \"x \\\" y\",\n  \"n\": [1, 2]\n}";
-        assert_eq!(compact(src), r#"{"a b":"x \" y","n":[1,2]}"#);
     }
 }

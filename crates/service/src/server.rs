@@ -354,7 +354,7 @@ fn hist_section(snapshot: &obs::Snapshot) -> String {
     let entries: BTreeMap<String, String> = snapshot
         .hists
         .iter()
-        .map(|(name, h)| (hist_display_name(name), json::compact(&h.summary_json())))
+        .map(|(name, h)| (hist_display_name(name), h.summary_json()))
         .collect();
     let body: Vec<String> = entries
         .iter()
@@ -398,7 +398,7 @@ fn metrics_response(shared: &Arc<Shared>) -> String {
         shared.pool.queue_depth_hwm(),
         sessions.join(","),
         hist_section(&snapshot),
-        json::compact(&snapshot.to_json())
+        snapshot.to_json()
     )
 }
 
@@ -816,7 +816,7 @@ fn run_query(
     obs::record_hist("serve.request", elapsed_ns);
     let trace = obs::trace_end();
     let (report, outcome, exec) = outcome?;
-    let explain = json::compact(&report.explain_json());
+    let explain = report.explain_json();
     if slowlog.is_slow(elapsed_ns) {
         let verdict = if report.is_contradiction() {
             "contradiction"

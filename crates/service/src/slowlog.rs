@@ -42,7 +42,7 @@ pub struct SlowEntry<'a> {
     pub elapsed_ns: u64,
     /// The request's span events (per-stage durations), when traced.
     pub trace: Option<&'a obs::Trace>,
-    /// The full machine-readable report, already compacted.
+    /// The full machine-readable report (compact, single-line JSON).
     pub explain: &'a str,
 }
 

@@ -43,6 +43,13 @@ which never overwrites the manifest, so this validates what a full
    present. A write costs time in proportion to the write, so growth is
    near flat — the 15k cycle is at most 3x the 1.5k cycle — and the 15k
    cycle is at least 20x faster than its frozen baseline.
+9. The warm-hit report row `serve/warm_hit_report` (a worker's
+   per-request CPU on a served plan-cache hit: the cached optimize plus
+   the explain report the response embeds) and its frozen
+   `serve/warm_hit_report_baseline` (measured once on the build whose
+   per-request stats came from global snapshots and whose report was
+   pretty-printed, then compacted) are present, and the current row is
+   at least 1.5x faster than the baseline.
 
 Usage: python3 scripts/check_bench_manifest.py [path/to/BENCH_pipeline.json]
 """
@@ -89,6 +96,11 @@ WRITE_READ_SMALL = "objdb/write_read_cycle/1.5k"
 WRITE_READ_LARGE = "objdb/write_read_cycle/15k"
 WRITE_READ_MAX_GROWTH = 3.0
 WRITE_READ_MIN_SPEEDUP = 20.0
+
+# Served warm hit plus its report, against the frozen global-snapshot
+# baseline.
+WARM_HIT_REPORT = "serve/warm_hit_report"
+WARM_HIT_REPORT_MIN_SPEEDUP = 1.5
 
 # Step-3 search: (row, minimum speedup over the exhaustive-BFS baseline).
 STEP3_GATES = (
@@ -188,6 +200,20 @@ def main() -> None:
             f"frozen baseline (< {WRITE_READ_MIN_SPEEDUP}x)"
         )
 
+    for row in (WARM_HIT_REPORT, WARM_HIT_REPORT + "_baseline"):
+        if row not in manifest:
+            fail(f"missing warm-hit report row {row!r} — run the full "
+                 "(non-quick) tables binary")
+    report_speedup = (
+        manifest[WARM_HIT_REPORT + "_baseline"] / manifest[WARM_HIT_REPORT]
+    )
+    if report_speedup < WARM_HIT_REPORT_MIN_SPEEDUP:
+        fail(
+            f"{WARM_HIT_REPORT} is only {report_speedup:.2f}x faster than its "
+            f"frozen baseline (< {WARM_HIT_REPORT_MIN_SPEEDUP}x): a warm hit "
+            "pays for more than its own report again"
+        )
+
     step3_speedups = {}
     for row, floor in STEP3_GATES:
         for suffix in ("", "_baseline", "_seed"):
@@ -217,7 +243,8 @@ def main() -> None:
         f"overload shed rate {shed}; "
         f"1m-object recovery {recover / 1e6:.0f} ms; "
         f"write-then-read 15k/1.5k growth {growth:.2f}x, "
-        f"{wr_speedup:.0f}x vs rebuild baseline)"
+        f"{wr_speedup:.0f}x vs rebuild baseline; "
+        f"warm hit + report {report_speedup:.2f}x vs snapshot baseline)"
     )
 
 

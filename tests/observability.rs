@@ -6,11 +6,12 @@
 
 use semantic_sqo::{SemanticOptimizer, Verdict};
 use sqo_obs as obs;
+use sqo_service::json::{self, Json};
 use std::sync::Mutex;
 
-/// Serializes the tests in this binary: `OptimizationReport::stats` is a
-/// delta over the process-global observability registry, so concurrent
-/// optimizer runs in sibling tests would bleed into each other's windows.
+/// Serializes the tests in this binary. `OptimizationReport::stats` is
+/// per-thread and exact, so this only keeps the optimizer runs from
+/// competing for the cores the parallel Step-3 search uses.
 static LOCK: Mutex<()> = Mutex::new(());
 
 fn lock() -> std::sync::MutexGuard<'static, ()> {
@@ -133,9 +134,21 @@ fn every_equivalent_has_nonempty_provenance() {
                 }
             }
         }
+        // Every serialized chain is a non-empty array of objects.
         let json = report.explain_json();
-        assert!(json.contains("\"provenance\": [{"), "{json}");
-        assert!(!json.contains("\"provenance\": []"), "{json}");
+        let parsed = json::parse(&json).unwrap_or_else(|e| panic!("{e}: {json}"));
+        let eqs = parsed
+            .get("equivalents")
+            .and_then(Json::as_arr)
+            .unwrap_or_else(|| panic!("no equivalents array: {json}"));
+        for e in eqs {
+            let chain = e
+                .get("provenance")
+                .and_then(Json::as_arr)
+                .unwrap_or_else(|| panic!("no provenance array: {json}"));
+            assert!(!chain.is_empty(), "{json}");
+            assert!(chain.iter().all(|s| matches!(s, Json::Obj(_))), "{json}");
+        }
     }
 }
 
@@ -168,8 +181,20 @@ fn contradiction_provenance_names_refuting_ic() {
     assert_eq!(last.kind, "contradiction");
     assert_eq!(last.ic.as_deref(), Some("IC3"));
     let json = report.explain_json();
-    assert!(json.contains("\"verdict\": \"contradiction\""));
-    assert!(json.contains("\"ic\": \"IC3\""));
+    let parsed = json::parse(&json).unwrap_or_else(|e| panic!("{e}: {json}"));
+    assert_eq!(
+        parsed.get("verdict").and_then(Json::as_str),
+        Some("contradiction"),
+        "{json}"
+    );
+    assert_eq!(
+        parsed
+            .get("contradiction")
+            .and_then(|c| c.get("ic"))
+            .and_then(Json::as_str),
+        Some("IC3"),
+        "{json}"
+    );
 }
 
 /// Union pruning attributes each dropped branch to its refuting IC.
