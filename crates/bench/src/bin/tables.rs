@@ -12,14 +12,18 @@
 //! Besides the human-readable tables, the run writes
 //! `BENCH_pipeline.json` at the repo root: a flat `{"name": median_ns}`
 //! map covering the e1/f2 pipeline benchmarks in both the current
-//! engine configuration and the pre-optimization baseline paths kept as
-//! ablation knobs ([`DedupMode::CanonicalKey`], `optimize_sequential`),
-//! plus the derived `speedup/…` ratios and `stage/…` entries carrying the
-//! mean per-stage span timings from the observability registry, and the
-//! `serve/…` rows measuring the query-serving path (cold per-request
-//! search vs warm semantic-plan-cache hits, sequential and concurrent,
-//! plus closed-loop TCP latency under the event loop, its
-//! thread-per-connection ablation, and 8-deep client pipelining).
+//! engine configuration and the baseline path kept as a differential
+//! oracle (level-BFS run by `optimize_sequential`), plus the derived
+//! `speedup/…` ratios and `stage/…` entries carrying the mean per-stage
+//! span timings from the observability registry, and the `serve/…` rows
+//! measuring the query-serving path (cold per-request search vs warm
+//! semantic-plan-cache hits, sequential and concurrent, plus closed-loop
+//! TCP latency on the event loop, with and without 8-deep client
+//! pipelining). Rows whose code path no longer exists are kept as frozen
+//! numbers: the merge step carries every manifest entry this binary does
+//! not re-measure (the `*_seed` medians, the `*_threaded_baseline`
+//! quantiles of the retired thread-per-connection server, and the other
+//! frozen `_baseline` rows).
 
 use sqo_bench::loadgen::{self, LoadConfig};
 use sqo_bench::{
@@ -29,12 +33,11 @@ use sqo_bench::{
 use sqo_core::{PlanCache, SemanticOptimizer};
 use sqo_datalog::parser::{parse_constraint, parse_query};
 use sqo_datalog::residue::ResidueSet;
-use sqo_datalog::search::{self, DedupMode, Outcome, SearchConfig};
+use sqo_datalog::search::{self, Outcome, SearchConfig};
 use sqo_datalog::transform::TransformContext;
 use sqo_datalog::Query;
 use sqo_objdb::{choose_best, execute, execute_with, ExecOptions};
 use sqo_obs as obs;
-use sqo_service::ServeMode;
 use sqo_translate::translate_schema;
 use std::collections::{BTreeMap, HashSet};
 use std::time::Instant;
@@ -334,12 +337,10 @@ fn write_manifest(path: &str, bench: &BTreeMap<String, f64>) {
 
 /// The closed-loop serving phases over real TCP, recorded into `bench`:
 ///
-/// * warm 1x under the event loop (`serve/p50`, `serve/p99`) — clients
-///   equal workers, so admission can never shed and the quantiles are
-///   the service's intrinsic warm-cache latency;
-/// * the identical phase on the thread-per-connection ablation
-///   (`serve/p50_threaded`, `serve/p99_threaded`), the baseline the
-///   manifest gate compares the event loop against;
+/// * warm 1x (`serve/p50`, `serve/p99`) — clients equal workers, so
+///   admission can never shed and the quantiles are the service's
+///   intrinsic warm-cache latency; the manifest gate compares the p99
+///   against the frozen `serve/p99_threaded_baseline`;
 /// * warm 1x with each client pipelining 8-request windows
 ///   (`serve/p50_pipelined`, `serve/p99_pipelined`), which exercises
 ///   the event loop's drain-all-complete-frames batching — per-request
@@ -348,10 +349,10 @@ fn write_manifest(path: &str, bench: &BTreeMap<String, f64>) {
 ///   slot against a small queue, where bounded admission must shed.
 ///
 /// Warm quantiles keep the minimum over a few rounds (the same
-/// min-of-rounds rule the concurrent ns/query row uses), so the
-/// event-loop-vs-threaded comparison gates on intrinsic latency rather
-/// than on whichever round caught a scheduler hiccup. The quick run
-/// keeps the phases tiny but still asserts the closed-loop invariants.
+/// min-of-rounds rule the concurrent ns/query row uses), so the gate
+/// compares intrinsic latency rather than whichever round caught a
+/// scheduler hiccup. The quick run keeps the phases tiny but still
+/// asserts the closed-loop invariants.
 fn bench_serve_phases(quick: bool, bench: &mut BTreeMap<String, f64>) {
     let reqs = if quick { 30 } else { 200 };
     let rounds = if quick { 1 } else { 3 };
@@ -367,15 +368,9 @@ fn bench_serve_phases(quick: bool, bench: &mut BTreeMap<String, f64>) {
         }
         (p50, p99)
     };
-    let (p50, p99) = warm_quantiles(LoadConfig::warm(4, reqs), "serve 1x warm (event loop)");
+    let (p50, p99) = warm_quantiles(LoadConfig::warm(4, reqs), "serve 1x warm");
     bench.insert("serve/p50".to_string(), p50);
     bench.insert("serve/p99".to_string(), p99);
-    let (p50, p99) = warm_quantiles(
-        LoadConfig::warm(4, reqs).with_mode(ServeMode::Threaded),
-        "serve 1x warm (threaded ablation)",
-    );
-    bench.insert("serve/p50_threaded".to_string(), p50);
-    bench.insert("serve/p99_threaded".to_string(), p99);
     let (p50, p99) = warm_quantiles(
         LoadConfig::warm(4, reqs).pipelined(8),
         "serve 1x warm (pipelined x8)",
@@ -533,9 +528,8 @@ fn bench_write_read_cycle(quick: bool) -> Vec<(String, f64)> {
 }
 
 /// Measure the e1/f2 pipeline benchmarks in the current engine
-/// configuration and in the pre-optimization baseline (string
-/// canonical-key dedup + sequential frontier, both kept as ablation
-/// knobs), then write the flat `{"name": median_ns}` map to
+/// configuration and in the baseline (level-BFS on a sequential
+/// frontier), then write the flat `{"name": median_ns}` map to
 /// `BENCH_pipeline.json` at the repo root.
 fn bench_pipeline(quick: bool) {
     println!("\n## Pipeline benchmarks — current engine vs. baseline paths");
@@ -545,19 +539,11 @@ fn bench_pipeline(quick: bool) {
     let reps = if quick { 7 } else { 21 };
     let mut bench: BTreeMap<String, f64> = BTreeMap::new();
     let current = SearchConfig::default();
-    // The pre-optimization baseline: the exhaustive level-BFS engine with
-    // string canonical-key dedup, run sequentially. `strategy` is pinned
-    // because the config default is now the best-first engine.
-    let baseline = SearchConfig {
-        strategy: search::Strategy::Bfs,
-        dedup: DedupMode::CanonicalKey,
-        ..Default::default()
-    };
-    // The pre-PR *default* engine (parallel BFS with fingerprint dedup):
-    // unlike the historical `*_seed` medians merged from the manifest,
-    // this path is still compiled in behind `--search=bfs`, so the wide-IC
-    // seed rows below are re-measured on every full run.
-    let seed_cfg = SearchConfig {
+    // The exhaustive level-BFS engine (`--search=bfs`). Run through
+    // `optimize_sequential` it is the `_baseline` of the e1/f2 rows; run
+    // through `optimize` (parallel frontier) it re-measures the wide-IC
+    // `_seed` rows, the pre-best-first default engine.
+    let bfs = SearchConfig {
         strategy: search::Strategy::Bfs,
         ..Default::default()
     };
@@ -725,7 +711,7 @@ fn bench_pipeline(quick: bool) {
                 &mut bench,
                 &format!("e1/{name}_baseline"),
                 median_ns(reps_small, || {
-                    std::hint::black_box(search::optimize_sequential(query, &e1_ctx, &baseline));
+                    std::hint::black_box(search::optimize_sequential(query, &e1_ctx, &bfs));
                 }),
             );
         }
@@ -747,7 +733,7 @@ fn bench_pipeline(quick: bool) {
             &mut bench,
             "f2/step3_sqo_vs_applicable_ics/12_baseline",
             median_ns(reps, || {
-                std::hint::black_box(search::optimize_sequential(&q, ctx, &baseline));
+                std::hint::black_box(search::optimize_sequential(&q, ctx, &bfs));
             }),
         );
         for (label, wq, wctx) in [("32", &q32, ctx32), ("64", &q64, ctx64)] {
@@ -762,14 +748,14 @@ fn bench_pipeline(quick: bool) {
                 &mut bench,
                 &format!("f2/step3_sqo_vs_applicable_ics/{label}_baseline"),
                 median_ns(reps, || {
-                    std::hint::black_box(search::optimize_sequential(wq, wctx, &baseline));
+                    std::hint::black_box(search::optimize_sequential(wq, wctx, &bfs));
                 }),
             );
             record(
                 &mut bench,
                 &format!("f2/step3_sqo_vs_applicable_ics/{label}_seed"),
                 median_ns(reps, || {
-                    std::hint::black_box(search::optimize(wq, wctx, &seed_cfg));
+                    std::hint::black_box(search::optimize(wq, wctx, &bfs));
                 }),
             );
         }

@@ -21,17 +21,13 @@
 //!   admission keeps flat instead of letting queueing delay grow without
 //!   bound.
 //!
-//! Both shapes run under either connection multiplexer
-//! ([`LoadConfig::with_mode`]): the `serve/p50_threaded` /
-//! `serve/p99_threaded` manifest rows are the warm phase replayed on
-//! the thread-per-connection ablation. [`LoadConfig::pipelined`] makes
-//! each client write a whole window of requests before reading, which
-//! exercises the event loop's drain-all-complete-frames batching; it
-//! widens the queue to fit every window so batching is measured
-//! without shedding.
+//! [`LoadConfig::pipelined`] makes each client write a whole window of
+//! requests before reading, which exercises the event loop's
+//! drain-all-complete-frames batching; it widens the queue to fit every
+//! window so batching is measured without shedding.
 
 use sqo_obs as obs;
-use sqo_service::{ServeMode, Server, ServerConfig, SessionRegistry, SessionSpec};
+use sqo_service::{Server, ServerConfig, SessionRegistry, SessionSpec};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
@@ -53,9 +49,6 @@ pub struct LoadConfig {
     /// Execute the chosen plan against the bound university base (makes
     /// each request do real evaluation work instead of pure optimization).
     pub execute: bool,
-    /// Connection multiplexing strategy of the server under load (the
-    /// event loop, or the thread-per-connection ablation).
-    pub mode: ServeMode,
     /// Requests each client writes back-to-back before reading any
     /// response (1 = strict request/response lock-step). Latency is
     /// measured per response from the batch write, so pipelined numbers
@@ -73,17 +66,8 @@ impl LoadConfig {
             clients: workers,
             requests_per_client,
             execute: false,
-            mode: ServeMode::EventLoop,
             pipeline_depth: 1,
         }
-    }
-
-    /// The same phase against the other connection multiplexer (used
-    /// for the `serve/p50_threaded` / `serve/p99_threaded` ablation
-    /// rows).
-    pub fn with_mode(mut self, mode: ServeMode) -> LoadConfig {
-        self.mode = mode;
-        self
     }
 
     /// The same phase with each client pipelining `depth` requests per
@@ -109,7 +93,6 @@ impl LoadConfig {
             clients: 10 * (workers + queue_capacity),
             requests_per_client,
             execute: true,
-            mode: ServeMode::EventLoop,
             pipeline_depth: 1,
         }
     }
@@ -191,7 +174,6 @@ pub fn run(cfg: &LoadConfig) -> LoadReport {
             workers: cfg.workers,
             queue_capacity: cfg.queue_capacity,
             default_timeout_ms: 60_000,
-            mode: cfg.mode,
             ..ServerConfig::default()
         },
         registry,
@@ -314,14 +296,6 @@ mod tests {
         let p50 = report.p50_ns().expect("quantiles exist");
         let p99 = report.p99_ns().expect("quantiles exist");
         assert!(p50 > 0 && p99 >= p50);
-    }
-
-    #[test]
-    fn threaded_ablation_answers_everything() {
-        let report = run(&LoadConfig::warm(2, 10).with_mode(ServeMode::Threaded));
-        assert_eq!(report.sent, 20);
-        assert_eq!(report.ok, 20);
-        assert_eq!(report.shed + report.other_errors, 0);
     }
 
     #[test]

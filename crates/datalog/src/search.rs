@@ -7,8 +7,10 @@
 //! selected by [`Strategy`], with the heuristic knobs exposed in
 //! [`SearchConfig`]:
 //!
-//! * **`Bfs`** — the original bounded level-BFS, deduplicated by a
-//!   canonical form. Kept intact as the ablation baseline.
+//! * **`Bfs`** — the original bounded level-BFS, deduplicated by the
+//!   structural canonical hash. Kept as the differential oracle the
+//!   best-first engine is checked against, and as the baseline of the
+//!   benchmark's Step-3 rows.
 //! * **`BestFirst`** (default) — a cost-ordered priority frontier with a
 //!   per-search [`AnalysisCache`] (structure-level memoization of
 //!   residue matching), a compile-time exactness prefilter, and an exact
@@ -25,7 +27,7 @@ use crate::transform::{
     analyse, analyse_cached, apply, Analysis, AnalysisCache, Op, TransformContext,
 };
 use sqo_obs as obs;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 
 /// When join introduction (`AddAtom`) is explored.
 ///
@@ -44,19 +46,6 @@ pub enum JoinIntro {
     ViewRelevant,
     /// Introduce every implied atom (exhaustive; exponential).
     All,
-}
-
-/// How the search deduplicates query variants.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DedupMode {
-    /// Hash the canonical form ([`Query::canonical_hash`]) — no string
-    /// rendering per candidate.
-    #[default]
-    Fingerprint,
-    /// Render the full canonical string ([`Query::canonical_key`]) per
-    /// candidate. Functionally identical; kept as the measurable
-    /// baseline for the benchmark ablation.
-    CanonicalKey,
 }
 
 /// Which engine analyses the BFS frontier. The two backends produce
@@ -170,10 +159,6 @@ pub struct SearchConfig {
     pub enable_remove_cmp: bool,
     /// Enable atom/group removal (`RemoveAtoms`).
     pub enable_remove_atoms: bool,
-    /// Variant deduplication strategy (the [`Strategy::Bfs`] engine
-    /// only; the best-first engine always dedups through the exact
-    /// [`SubsumptionIndex`]).
-    pub dedup: DedupMode,
     /// Which engine explores the variant space.
     pub strategy: Strategy,
     /// Frontier ordering for the best-first engine.
@@ -200,7 +185,6 @@ impl Default for SearchConfig {
             enable_add_neg: true,
             enable_remove_cmp: true,
             enable_remove_atoms: true,
-            dedup: DedupMode::default(),
             strategy: Strategy::default(),
             cost_model: CostModel::default(),
             frontier_slice: None,
@@ -494,38 +478,6 @@ fn analyse_level(nodes: &[Variant], ctx: &TransformContext) -> Vec<Analysis> {
     analyse_level_sequential(nodes, ctx)
 }
 
-/// The variant seen-set, generic over [`DedupMode`]. Both modes dedup
-/// on the same canonical form; they differ only in whether that form is
-/// hashed as tokens or rendered into a string.
-enum Seen {
-    Fingerprint(FxHashSet<u64>),
-    CanonicalKey(HashSet<String>),
-}
-
-impl Seen {
-    fn new(mode: DedupMode) -> Self {
-        match mode {
-            DedupMode::Fingerprint => Seen::Fingerprint(FxHashSet::default()),
-            DedupMode::CanonicalKey => Seen::CanonicalKey(HashSet::new()),
-        }
-    }
-
-    /// Insert the query's canonical form; `false` if already present.
-    fn insert(&mut self, q: &Query) -> bool {
-        match self {
-            Seen::Fingerprint(s) => s.insert(q.canonical_hash()),
-            Seen::CanonicalKey(s) => s.insert(q.canonical_key()),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            Seen::Fingerprint(s) => s.len(),
-            Seen::CanonicalKey(s) => s.len(),
-        }
-    }
-}
-
 fn optimize_with(
     q: &Query,
     ctx: &TransformContext,
@@ -534,14 +486,16 @@ fn optimize_with(
 ) -> Outcome {
     let _span = obs::span!("step3.search");
     let mut variants: Vec<Variant> = Vec::new();
-    let mut seen = Seen::new(cfg.dedup);
+    // The seen-set keys variants by their structural canonical hash; the
+    // best-first engine dedups through the exact `SubsumptionIndex`.
+    let mut seen: FxHashSet<u64> = FxHashSet::default();
     let mut expansions = 0usize;
 
     let mut frontier = vec![Variant {
         query: q.clone(),
         steps: Vec::new(),
     }];
-    seen.insert(q);
+    seen.insert(q.canonical_hash());
 
     while !frontier.is_empty() {
         // Nodes beyond the expansion budget pass through unexpanded, in
@@ -585,7 +539,7 @@ fn optimize_with(
                             if !next.is_safe() {
                                 continue;
                             }
-                            if !seen.insert(&next) {
+                            if !seen.insert(next.canonical_hash()) {
                                 obs::bump(obs::Counter::SearchDedupHits);
                                 obs::bump(obs::Counter::SearchNodesPruned);
                                 continue;
@@ -1385,35 +1339,6 @@ mod tests {
                 ..Default::default()
             };
             assert_outcomes_identical(&q, &ctx, &cfg);
-        }
-    }
-
-    #[test]
-    fn dedup_modes_produce_identical_variants() {
-        let q = Query::new(
-            "q",
-            vec![v("Name")],
-            vec![
-                Literal::pos("person", vec![v("X"), v("Name"), v("Age")]),
-                Literal::cmp(v("Age"), CmpOp::Lt, Term::int(30)),
-            ],
-        );
-        let ctx = scope_ctx();
-        let fp = optimize(&q, &ctx, &SearchConfig::default());
-        let key = optimize(
-            &q,
-            &ctx,
-            &SearchConfig {
-                dedup: DedupMode::CanonicalKey,
-                ..Default::default()
-            },
-        );
-        let (Outcome::Equivalents(a), Outcome::Equivalents(b)) = (&fp, &key) else {
-            panic!("both satisfiable");
-        };
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(b) {
-            assert_eq!(x.query, y.query);
         }
     }
 

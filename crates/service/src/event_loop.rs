@@ -1,30 +1,34 @@
-//! The readiness-driven serving mode: one loop thread multiplexing
-//! every connection over non-blocking sockets.
+//! The server's transport: one loop thread multiplexing every
+//! connection over non-blocking sockets.
 //!
 //! Connections are state machines, not threads. Each one owns an
 //! incremental [`LineFramer`](crate::framing::LineFramer) for reads, an
 //! in-order response queue (*slots*), and a pending write buffer. A
 //! single wake-up drains **all** complete frames a connection has
-//! buffered (pipelined batching), routes each through the same
-//! [`route`](crate::server) table as the threaded mode, and queues the
-//! responses strictly in request order — a later request answered early
-//! (a cache hit behind a slow miss) waits in its slot until everything
-//! ahead of it is on the wire.
+//! buffered (pipelined batching), routes each through the
+//! [`route`](crate::server) table, and queues the responses strictly in
+//! request order — a later request answered early (a cache hit behind a
+//! slow miss) waits in its slot until everything ahead of it is on the
+//! wire.
 //!
 //! Division of labour: control ops (`ping`, `metrics`, `prepare`, …)
 //! are answered inline on the loop thread; `query` work is submitted to
-//! the same admission [`Pool`](crate::admission::Pool) as threaded mode
-//! — shed and queue semantics are byte-for-byte identical — and the
-//! worker hands the formatted response back through a completion queue,
-//! waking the loop via a self-pipe. Deadlines are enforced by the loop:
-//! the poll timeout is the nearest pending deadline, and an expired
-//! slot is answered with `deadline_exceeded` (a late worker result for
-//! an already-answered slot is dropped, mirroring the closed reply
-//! channel of the threaded path).
+//! the admission [`Pool`](crate::admission::Pool) (a full queue sheds
+//! the request with `overloaded`), and the worker hands the formatted
+//! response back through a completion queue, waking the loop via a
+//! self-pipe. Deadlines are enforced by the loop: the poll timeout is
+//! the nearest pending deadline, an expired slot is answered with
+//! `deadline_exceeded`, and a late worker result for an already-answered
+//! slot is dropped.
 //!
 //! Nothing here blocks on a socket, so a slow-loris peer dribbling one
 //! byte per minute costs one framer tail, never a worker thread, and a
-//! fast client on the same server keeps its latency.
+//! fast client on the same server keeps its latency. Output is bounded
+//! too: while a connection's unsent replies exceed `max_frame_bytes`,
+//! the loop stops reading it and stops taking frames from its framer,
+//! and watches it for writability only. TCP flow control then pushes
+//! back on a peer that writes requests but never reads the replies;
+//! reading resumes once the peer has drained the backlog.
 
 use crate::framing::LineFramer;
 use crate::poll::{Event, Interest, Poller};
@@ -71,14 +75,19 @@ struct Conn {
     stream: TcpStream,
     framer: LineFramer,
     slots: VecDeque<Slot>,
+    /// Bytes held in `Ready` slots, not yet moved into `write_buf`.
+    ready_bytes: usize,
     write_buf: Vec<u8>,
     write_pos: usize,
     next_seq: u64,
     /// Stop reading and close once every queued response is flushed
     /// (protocol violation, invalid UTF-8, or shutdown).
     close_after_flush: bool,
-    /// Whether the poller currently watches this socket for writability.
-    wants_write: bool,
+    /// Set while the unsent output is over the backlog bound: the loop
+    /// neither reads the socket nor takes frames from the framer.
+    paused: bool,
+    /// The interest set the poller currently holds for this socket.
+    interest: Interest,
 }
 
 impl Conn {
@@ -87,12 +96,25 @@ impl Conn {
             stream,
             framer: LineFramer::new(max_frame),
             slots: VecDeque::new(),
+            ready_bytes: 0,
             write_buf: Vec::new(),
             write_pos: 0,
             next_seq: 0,
             close_after_flush: false,
-            wants_write: false,
+            paused: false,
+            interest: Interest::READ,
         }
+    }
+
+    /// Unsent output: the unflushed `write_buf` tail plus `Ready` slots.
+    fn backlog(&self) -> usize {
+        self.write_buf.len() - self.write_pos + self.ready_bytes
+    }
+
+    /// Queues an already-answered slot.
+    fn push_ready(&mut self, resp: String) {
+        self.ready_bytes += resp.len();
+        self.slots.push_back(Slot::Ready(resp));
     }
 
     /// The nearest deadline among this connection's pending slots.
@@ -115,6 +137,8 @@ struct Loop {
     completions: Arc<Mutex<Vec<Completion>>>,
     waker: Waker,
     wake_rx: UnixStream,
+    /// Unsent output (bytes) above which a connection is paused.
+    backlog_limit: usize,
     /// The connection whose `shutdown` response ends the loop once
     /// flushed.
     shutdown_conn: Option<u64>,
@@ -131,6 +155,7 @@ pub(crate) fn run(listener: TcpListener, shared: Arc<Shared>) -> std::io::Result
     poller.register(listener.as_raw_fd(), LISTENER, Interest::READ)?;
     poller.register(wake_rx.as_raw_fd(), WAKER, Interest::READ)?;
     let mut lp = Loop {
+        backlog_limit: shared.max_frame_bytes,
         shared,
         poller,
         conns: HashMap::new(),
@@ -162,7 +187,10 @@ impl Loop {
                     LISTENER => self.accept_ready(listener),
                     WAKER => self.drain_waker(),
                     id => {
-                        if self.conns.contains_key(&id) && !self.handle_conn_event(id, ev) {
+                        if self.conns.contains_key(&id)
+                            && (ev.readable || ev.hangup)
+                            && !self.read_conn(id, ev.hangup)
+                        {
                             dead.push(id);
                         }
                     }
@@ -204,9 +232,9 @@ impl Loop {
                     if self.shared.stop.load(Ordering::Acquire) {
                         continue; // shutting down: accept-and-drop
                     }
-                    // Same rationale as the threaded mode: tiny request
-                    // and response lines lose whole delayed-ACK timers
-                    // to Nagle.
+                    // One small request line begets one small response
+                    // line; Nagle would hold either back for a whole
+                    // delayed-ACK timer.
                     let _ = stream.set_nodelay(true);
                     if stream.set_nonblocking(true).is_err() {
                         continue;
@@ -242,53 +270,61 @@ impl Loop {
         }
     }
 
-    /// Reads and processes everything a connection has for us. Returns
-    /// `false` when the connection should be torn down now.
-    fn handle_conn_event(&mut self, id: u64, ev: Event) -> bool {
-        if ev.readable || ev.hangup {
-            let conn = self.conns.get_mut(&id).expect("checked by caller");
-            let mut buf = [0u8; 64 * 1024];
-            loop {
-                match conn.stream.read(&mut buf) {
-                    Ok(0) => {
-                        // Peer closed. Anything unflushed has no reader
-                        // worth waiting for; pending worker results are
-                        // dropped on completion (the conn id is gone).
-                        return false;
-                    }
-                    Ok(n) => {
-                        if conn.close_after_flush {
-                            continue; // discard: already closing
-                        }
-                        if conn.framer.push(&buf[..n]).is_err() {
-                            let e = ServeError::BadRequest(format!(
-                                "request line exceeds {} bytes",
-                                self.shared.max_frame_bytes
-                            ));
-                            conn.slots
-                                .push_back(Slot::Ready(server::error_response(&e)));
-                            conn.close_after_flush = true;
-                        }
-                    }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                    Err(_) => return false,
+    /// Reads what the peer sent and routes each complete frame, stopping
+    /// while the connection is paused (a hangup is read regardless, to
+    /// observe its EOF or error). Returns `false` when the connection
+    /// should be torn down now.
+    fn read_conn(&mut self, id: u64, hangup: bool) -> bool {
+        let mut buf = [0u8; 64 * 1024];
+        loop {
+            let Some(conn) = self.conns.get_mut(&id) else {
+                return true;
+            };
+            if conn.paused && !hangup {
+                return true;
+            }
+            match conn.stream.read(&mut buf) {
+                Ok(0) => {
+                    // Peer closed. Anything unflushed has no reader
+                    // worth waiting for; pending worker results are
+                    // dropped on completion (the conn id is gone).
+                    return false;
                 }
+                Ok(n) => {
+                    if conn.close_after_flush {
+                        continue; // discard: already closing
+                    }
+                    if conn.framer.push(&buf[..n]).is_err() {
+                        let e = ServeError::BadRequest(format!(
+                            "request line exceeds {} bytes",
+                            self.shared.max_frame_bytes
+                        ));
+                        conn.push_ready(server::error_response(&e));
+                        conn.close_after_flush = true;
+                    }
+                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return true,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(_) => return false,
             }
             self.process_frames(id);
         }
-        true
     }
 
     /// Drains every complete frame the connection has buffered — the
-    /// pipelined batch — and queues one response slot per request.
+    /// pipelined batch — and queues one response slot per request. Stops
+    /// and pauses the connection while its unsent output is over the
+    /// backlog bound; [`Loop::flush_conn`] resumes it.
     fn process_frames(&mut self, id: u64) {
         loop {
-            let conn = match self.conns.get_mut(&id) {
-                Some(c) => c,
-                None => return,
+            let Some(conn) = self.conns.get_mut(&id) else {
+                return;
             };
             if conn.close_after_flush {
+                return;
+            }
+            if conn.backlog() > self.backlog_limit {
+                conn.paused = true;
                 return;
             }
             let frame = match conn.framer.next_frame() {
@@ -299,8 +335,7 @@ impl Loop {
                 Ok(l) => l,
                 Err(_) => {
                     let e = ServeError::BadRequest("request line is not valid UTF-8".into());
-                    conn.slots
-                        .push_back(Slot::Ready(server::error_response(&e)));
+                    conn.push_ready(server::error_response(&e));
                     conn.close_after_flush = true;
                     return;
                 }
@@ -313,12 +348,12 @@ impl Loop {
             match server::route(&self.shared, &line) {
                 Routed::Done(resp) => {
                     if let Some(c) = self.conns.get_mut(&id) {
-                        c.slots.push_back(Slot::Ready(resp));
+                        c.push_ready(resp);
                     }
                 }
                 Routed::Shutdown(resp) => {
                     if let Some(c) = self.conns.get_mut(&id) {
-                        c.slots.push_back(Slot::Ready(resp));
+                        c.push_ready(resp);
                         c.close_after_flush = true;
                     }
                     self.shutdown_conn = Some(id);
@@ -330,10 +365,7 @@ impl Loop {
                     };
                     let seq = c.next_seq;
                     c.next_seq += 1;
-                    c.slots.push_back(Slot::Pending {
-                        seq,
-                        deadline: job.deadline,
-                    });
+                    let deadline = job.deadline;
                     let completions = Arc::clone(&self.completions);
                     let waker = self.waker.clone();
                     let admitted = server::submit_job(
@@ -350,10 +382,11 @@ impl Loop {
                             waker.wake();
                         }),
                     );
-                    if !admitted {
-                        let c = self.conns.get_mut(&id).expect("just inserted");
-                        *c.slots.back_mut().expect("just pushed") =
-                            Slot::Ready(server::error_response(&ServeError::Overloaded));
+                    let c = self.conns.get_mut(&id).expect("still present");
+                    if admitted {
+                        c.slots.push_back(Slot::Pending { seq, deadline });
+                    } else {
+                        c.push_ready(server::error_response(&ServeError::Overloaded));
                     }
                 }
             }
@@ -362,8 +395,7 @@ impl Loop {
 
     /// Files worker results into their slots. A completion whose slot
     /// is gone (connection closed) or already `Ready` (deadline beat
-    /// the worker) is dropped, exactly as the threaded mode drops a
-    /// send into a closed reply channel.
+    /// the worker) is dropped.
     fn apply_completions(&mut self) {
         let done: Vec<Completion> =
             std::mem::take(&mut *self.completions.lock().unwrap_or_else(|e| e.into_inner()));
@@ -376,14 +408,14 @@ impl Loop {
                 .iter_mut()
                 .find(|s| matches!(s, Slot::Pending { seq: have, .. } if *have == seq))
             {
+                conn.ready_bytes += resp.len();
                 *slot = Slot::Ready(resp);
             }
         }
     }
 
-    /// Answers every expired pending slot with `deadline_exceeded`,
-    /// matching the threaded mode's `recv_timeout` path (including the
-    /// counter bump).
+    /// Answers every expired pending slot with `deadline_exceeded` and
+    /// counts it in `serve.deadline_exceeded`.
     fn expire_deadlines(&mut self) {
         let now = Instant::now();
         for conn in self.conns.values_mut() {
@@ -391,24 +423,38 @@ impl Loop {
                 if let Slot::Pending { deadline, .. } = slot {
                     if *deadline <= now {
                         obs::add(obs::Counter::ServeDeadlineExceeded, 1);
-                        *slot = Slot::Ready(server::error_response(&ServeError::DeadlineExceeded));
+                        let resp = server::error_response(&ServeError::DeadlineExceeded);
+                        conn.ready_bytes += resp.len();
+                        *slot = Slot::Ready(resp);
                     }
                 }
             }
         }
     }
 
-    /// Moves ready head slots onto the wire. Returns `false` when the
-    /// connection is finished (flushed its goodbye, or the peer broke).
+    /// Moves ready head slots onto the wire, resumes a paused connection
+    /// whose backlog drained, and sets the poller interest to match.
+    /// Returns `false` when the connection is finished (flushed its
+    /// goodbye, or the peer broke).
     fn flush_conn(&mut self, id: u64) -> bool {
-        let Some(conn) = self.conns.get_mut(&id) else {
-            return true;
-        };
         loop {
-            while matches!(conn.slots.front(), Some(Slot::Ready(_))) {
+            let Some(conn) = self.conns.get_mut(&id) else {
+                return true;
+            };
+            while let Some(Slot::Ready(_)) = conn.slots.front() {
                 if let Some(Slot::Ready(resp)) = conn.slots.pop_front() {
+                    conn.ready_bytes -= resp.len();
                     conn.write_buf.extend_from_slice(resp.as_bytes());
                     conn.write_buf.push(b'\n');
+                }
+            }
+            while conn.write_pos < conn.write_buf.len() {
+                match conn.stream.write(&conn.write_buf[conn.write_pos..]) {
+                    Ok(0) => return false,
+                    Ok(n) => conn.write_pos += n,
+                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                    Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                    Err(_) => return false,
                 }
             }
             if conn.write_pos == conn.write_buf.len() {
@@ -417,33 +463,30 @@ impl Loop {
                 if conn.close_after_flush && conn.slots.is_empty() {
                     return false;
                 }
+            }
+            if !conn.paused || conn.backlog() > self.backlog_limit {
                 break;
             }
-            match conn.stream.write(&conn.write_buf[conn.write_pos..]) {
-                Ok(0) => return false,
-                Ok(n) => conn.write_pos += n,
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => return false,
-            }
+            // The peer read enough: take up the frames the backlog held
+            // back (no readiness event will announce them).
+            conn.paused = false;
+            self.process_frames(id);
         }
-        // Watch for writability only while bytes are stuck; waking on
-        // an always-writable socket would spin the loop.
-        let needs_write = conn.write_pos < conn.write_buf.len();
-        if needs_write != conn.wants_write {
-            let interest = if needs_write {
-                Interest::READ_WRITE
-            } else {
-                Interest::READ
-            };
-            if self
+        // Read only while unpaused; watch for writability only while
+        // bytes are stuck, since waking on an always-writable socket
+        // would spin the loop.
+        let conn = self.conns.get_mut(&id).expect("still present");
+        let interest = Interest {
+            readable: !conn.paused,
+            writable: conn.write_pos < conn.write_buf.len(),
+        };
+        if interest != conn.interest
+            && self
                 .poller
                 .modify(conn.stream.as_raw_fd(), id, interest)
                 .is_ok()
-            {
-                let conn = self.conns.get_mut(&id).expect("still present");
-                conn.wants_write = needs_write;
-            }
+        {
+            conn.interest = interest;
         }
         true
     }

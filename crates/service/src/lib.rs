@@ -38,6 +38,17 @@
 pub mod admission;
 #[cfg(unix)]
 mod event_loop;
+/// Serving needs a Unix readiness poller; other targets build the
+/// library but `Server::run` reports the transport as unsupported.
+#[cfg(not(unix))]
+mod event_loop {
+    pub(crate) fn run(
+        _: std::net::TcpListener,
+        _: std::sync::Arc<crate::server::Shared>,
+    ) -> std::io::Result<()> {
+        Err(std::io::ErrorKind::Unsupported.into())
+    }
+}
 pub mod framing;
 pub mod json;
 #[cfg(unix)]
@@ -47,7 +58,7 @@ pub mod server;
 pub mod slowlog;
 
 pub use registry::{Session, SessionRegistry, SessionSpec};
-pub use server::{ServeMode, Server, ServerConfig};
+pub use server::{Server, ServerConfig};
 pub use slowlog::{SlowEntry, SlowLog};
 
 /// Why a request was not answered with a result.

@@ -30,11 +30,6 @@ impl Interest {
         readable: true,
         writable: false,
     };
-    /// Read + write interest (a connection flushing a response).
-    pub const READ_WRITE: Interest = Interest {
-        readable: true,
-        writable: true,
-    };
 }
 
 /// One readiness event out of [`Poller::wait`].
@@ -105,9 +100,11 @@ mod linux {
     }
 
     fn mask(interest: Interest) -> u32 {
-        let mut m = EPOLLRDHUP;
+        // Peer half-close is a read condition: a descriptor not watched
+        // for reads must not keep waking on it.
+        let mut m = 0;
         if interest.readable {
-            m |= EPOLLIN;
+            m |= EPOLLIN | EPOLLRDHUP;
         }
         if interest.writable {
             m |= EPOLLOUT;

@@ -1,14 +1,13 @@
-//! Event-loop-mode wire tests: pipelined batching, adversarial
-//! connections, and counter equivalence against the threaded ablation
-//! mode.
+//! Event-loop wire tests: pipelined batching, adversarial connections,
+//! the output-backlog bound, and served counter totals.
 //!
 //! Tests assert on obs counter deltas (process-global), so every test in
 //! this binary serializes through one lock.
 
 use sqo_obs as obs;
 use sqo_service::json::{self, Json};
-use sqo_service::{ServeMode, Server, ServerConfig, SessionRegistry, SessionSpec};
-use std::io::{BufRead, BufReader, Read, Write};
+use sqo_service::{Server, ServerConfig, SessionRegistry, SessionSpec};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -35,7 +34,6 @@ fn start_server(cfg: ServerConfig) -> SocketAddr {
 fn event_loop_config() -> ServerConfig {
     ServerConfig {
         addr: "127.0.0.1:0".to_string(),
-        mode: ServeMode::EventLoop,
         ..ServerConfig::default()
     }
 }
@@ -331,106 +329,148 @@ fn mid_request_disconnect_leaves_server_healthy() {
     shutdown(addr);
 }
 
-/// Satellite (fix check): the sharded plan cache and the event loop
-/// leave every `serve.*` and `plan_cache.*` counter exactly where the
-/// threaded mode leaves it for the same workload — including shard
-/// stats summing to the old global totals.
+/// The sharded plan cache and the event loop leave every `serve.*`
+/// and `plan_cache.*` counter at the workload's arithmetic, and the session's shard stats sum to the global totals.
 #[test]
-fn counters_are_equivalent_across_modes() {
+fn served_counters_match_the_workload() {
     let _g = lock();
-
-    fn run_workload(mode: ServeMode) -> Vec<(&'static str, u64)> {
-        let before = obs::snapshot();
-        let addr = start_server(ServerConfig {
-            workers: 2,
-            mode,
-            ..event_loop_config()
-        });
-        let mut lines: Vec<String> = Vec::new();
-        // A parameterized family: one miss, then hits.
-        for i in 0..6 {
-            lines.push(query_line(&format!(
-                "select x.name from x in Person where x.age < {}",
-                20 + i
-            )));
-        }
-        // A second template.
-        lines.push(query_line(
-            "select x.age from x in Student where x.age < 25",
-        ));
-        // Invalidate (2 cached templates drop), then repopulate one.
-        lines.push(format!(
-            r#"{{"op":"reload_ic","ic":{}}}"#,
-            obs::json_string(IC4)
-        ));
-        lines.push(query_line(
-            "select x.name from x in Person where x.age < 21",
-        ));
-        // Trailing metrics round trip forces every prior counter bump
-        // to be flushed before we snapshot.
-        lines.push(r#"{"op":"metrics"}"#.to_string());
-        let resps = roundtrip(addr, &lines);
-        shutdown(addr);
-        for r in &resps {
-            assert_eq!(r.get("ok"), Some(&Json::Bool(true)));
-        }
-        let metrics = resps.last().unwrap();
-        assert_eq!(
-            metrics.get("serve_mode").and_then(Json::as_str),
-            Some(mode.label())
-        );
-        // Shard stats visible on the wire: the session reports its
-        // shard count alongside the (summed) cached-template count.
-        let session = metrics.get("sessions").and_then(Json::as_arr).unwrap()[0].clone();
-        let shards = session.get("cache_shards").and_then(Json::as_u64).unwrap();
-        assert!(shards >= 1 && shards.is_power_of_two());
-        assert_eq!(
-            session.get("cached_templates").and_then(Json::as_u64),
-            Some(1),
-            "one template repopulated after the reload"
-        );
-
-        let delta = obs::snapshot().since(&before);
-        let keys = [
-            ("serve.requests", obs::Counter::ServeRequests),
-            ("serve.shed", obs::Counter::ServeShed),
-            (
-                "serve.deadline_exceeded",
-                obs::Counter::ServeDeadlineExceeded,
-            ),
-            ("plan_cache.hits", obs::Counter::PlanCacheHits),
-            ("plan_cache.rebinds", obs::Counter::PlanCacheRebinds),
-            ("plan_cache.misses", obs::Counter::PlanCacheMisses),
-            (
-                "plan_cache.invalidations",
-                obs::Counter::PlanCacheInvalidations,
-            ),
-        ];
-        keys.iter().map(|(n, c)| (*n, delta.counter(*c))).collect()
+    let before = obs::snapshot();
+    let addr = start_server(ServerConfig {
+        workers: 2,
+        ..event_loop_config()
+    });
+    let mut lines: Vec<String> = Vec::new();
+    // A parameterized family: one miss, then hits.
+    for i in 0..6 {
+        lines.push(query_line(&format!(
+            "select x.name from x in Person where x.age < {}",
+            20 + i
+        )));
     }
-
-    let event_loop = run_workload(ServeMode::EventLoop);
-    let threaded = run_workload(ServeMode::Threaded);
+    // A second template.
+    lines.push(query_line(
+        "select x.age from x in Student where x.age < 25",
+    ));
+    // Invalidate (2 cached templates drop), then repopulate one.
+    lines.push(format!(
+        r#"{{"op":"reload_ic","ic":{}}}"#,
+        obs::json_string(IC4)
+    ));
+    lines.push(query_line(
+        "select x.name from x in Person where x.age < 21",
+    ));
+    // Trailing metrics round trip forces every prior counter bump to be
+    // flushed before we snapshot.
+    lines.push(r#"{"op":"metrics"}"#.to_string());
+    let resps = roundtrip(addr, &lines);
+    shutdown(addr);
+    for r in &resps {
+        assert_eq!(r.get("ok"), Some(&Json::Bool(true)));
+    }
+    // Shard stats visible on the wire: the session reports its shard
+    // count alongside the (summed) cached-template count.
+    let metrics = resps.last().unwrap();
+    let session = metrics.get("sessions").and_then(Json::as_arr).unwrap()[0].clone();
+    let shards = session.get("cache_shards").and_then(Json::as_u64).unwrap();
+    assert!(shards >= 1 && shards.is_power_of_two());
     assert_eq!(
-        event_loop, threaded,
-        "counter totals must not depend on the serving mode"
+        session.get("cached_templates").and_then(Json::as_u64),
+        Some(1),
+        "one template repopulated after the reload"
     );
-    // And the absolute values are the workload's arithmetic, not just
-    // mutually consistent: 8 queries, 5 hits (ages 21..25 of the first
-    // family), 3 misses (family, second template, post-reload), 2
-    // invalidated entries.
-    let get = |k: &str| {
-        event_loop
-            .iter()
-            .find(|(n, _)| *n == k)
-            .map(|(_, v)| *v)
-            .unwrap()
+
+    // 8 queries, 5 hits (ages 21..25 of the first family), 3 misses
+    // (family, second template, post-reload), 2 invalidated entries.
+    let delta = obs::snapshot().since(&before);
+    assert_eq!(delta.counter(obs::Counter::ServeRequests), 8);
+    assert_eq!(delta.counter(obs::Counter::ServeShed), 0);
+    assert_eq!(delta.counter(obs::Counter::ServeDeadlineExceeded), 0);
+    assert_eq!(delta.counter(obs::Counter::PlanCacheHits), 5);
+    assert_eq!(delta.counter(obs::Counter::PlanCacheRebinds), 0);
+    assert_eq!(delta.counter(obs::Counter::PlanCacheMisses), 3);
+    assert_eq!(delta.counter(obs::Counter::PlanCacheInvalidations), 2);
+}
+
+/// A peer that writes requests but never reads its replies is paused
+/// once its unsent output passes the backlog bound: the server stops
+/// reading it, so TCP flow control blocks its sends long before the
+/// 32 MB cap (an unbounded server reads it all and buffers the
+/// replies). Other clients are still served meanwhile, and once the
+/// peer reads, every complete line it sent is answered, in order.
+#[test]
+fn unread_replies_pause_the_writer() {
+    let _g = lock();
+    let addr = start_server(event_loop_config());
+    const CAP: usize = 32 << 20;
+    const PING_REPLY: &str = "{\"ok\":true,\"op\":\"ping\"}\n";
+    // Every 1000th line is an unknown op naming its index, so the
+    // replies can be checked for order.
+    let line = |i: usize| {
+        if i % 1000 == 999 {
+            format!("{{\"op\":\"x{i}\"}}\n")
+        } else {
+            "{\"op\":\"ping\"}\n".to_string()
+        }
     };
-    assert_eq!(get("serve.requests"), 8);
-    assert_eq!(get("serve.shed"), 0);
-    assert_eq!(get("serve.deadline_exceeded"), 0);
-    assert_eq!(get("plan_cache.hits"), 5);
-    assert_eq!(get("plan_cache.rebinds"), 0);
-    assert_eq!(get("plan_cache.misses"), 3);
-    assert_eq!(get("plan_cache.invalidations"), 2);
+
+    let mut hog = connect(addr);
+    hog.set_write_timeout(Some(Duration::from_secs(2))).unwrap();
+    let (mut sent_bytes, mut complete_lines, mut next) = (0usize, 0usize, 0usize);
+    let mut blocked = false;
+    'send: while sent_bytes < CAP {
+        let chunk: String = (next..next + 4096).map(line).collect();
+        let mut off = 0;
+        while off < chunk.len() {
+            match hog.write(&chunk.as_bytes()[off..]) {
+                Ok(n) => off += n,
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                    blocked = true;
+                    complete_lines = next + chunk[..off].matches('\n').count();
+                    sent_bytes += off;
+                    break 'send;
+                }
+                Err(e) => panic!("hog write failed: {e}"),
+            }
+        }
+        sent_bytes += off;
+        next += 4096;
+        complete_lines = next;
+    }
+    assert!(
+        blocked && sent_bytes < CAP / 2,
+        "a peer that never reads was not pushed back: sent {sent_bytes} bytes \
+         (blocked: {blocked})"
+    );
+
+    // The paused connection costs the loop nothing: another client is
+    // answered while the first stays blocked.
+    let resps = roundtrip(addr, &[r#"{"op":"ping"}"#.to_string()]);
+    assert_eq!(resps[0].get("ok"), Some(&Json::Bool(true)));
+
+    // Draining the replies resumes the paused connection: exactly one
+    // in-order reply per complete line (the torn last line gets none).
+    let mut reader = BufReader::new(hog.try_clone().unwrap());
+    let mut resp = String::new();
+    for i in 0..complete_lines {
+        resp.clear();
+        reader.read_line(&mut resp).unwrap();
+        if i % 1000 == 999 {
+            assert!(
+                resp.contains(&format!("unknown op \\\"x{i}\\\"")),
+                "reply {i} out of order: {resp}"
+            );
+        } else {
+            assert_eq!(resp, PING_REPLY, "reply {i}");
+        }
+    }
+    hog.set_read_timeout(Some(Duration::from_millis(300)))
+        .unwrap();
+    resp.clear();
+    match reader.read_line(&mut resp) {
+        Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+        other => panic!("more replies than complete lines: {other:?} {resp:?}"),
+    }
+    drop(reader);
+    drop(hog);
+    shutdown(addr);
 }
